@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import stats
 
 from repro.bench.results import BandwidthMatrix
+from repro.core.validation import spearman
 from repro.errors import ModelError
 from repro.topology.distance import hop_matrix
 from repro.topology.machine import Machine
@@ -89,7 +89,7 @@ def _score_candidate(
         for j in range(n):
             hop_list.append(hops[i, j])
             bw_list.append(matrix.values[i, j])
-    rho = float(stats.spearmanr(-np.array(hop_list), bw_list).statistic)
+    rho = spearman(-np.array(hop_list), bw_list)
 
     violations = 0
     for i in range(n):

@@ -1,27 +1,14 @@
-"""Subcommand implementations for ``repro-numa``."""
+"""Subcommand implementations for ``repro-numa``.
+
+Each command imports the layers it drives, so a call pays only for its
+own: ``hardware`` never loads the benchmarks, experiments or service.
+"""
 
 from __future__ import annotations
 
 import argparse
 
-from repro.analysis.report import render_node_sweep
-from repro.bench.fio import FioRunner
-from repro.bench.jobfile import FioJob, parse_jobfile
-from repro.bench.stream import StreamBenchmark
-from repro.core.characterize import HostCharacterizer
-from repro.core.iomodel import IOModelBuilder
-from repro.core.predictor import MixturePredictor
-from repro.core.scheduler_advisor import PlacementAdvisor
 from repro.errors import ReproError
-from repro.experiments import list_experiments, run_experiment
-from repro.experiments.sweeps import operation_sweep
-from repro.memory.allocator import PageAllocator
-from repro.memory.policy import MemBinding
-from repro.osmodel.numactl import Numactl
-from repro.rng import RngRegistry
-from repro.topology import builders
-from repro.topology.hwloc import render_links, render_machine
-from repro.units import MiB
 
 __all__ = [
     "cmd_hardware",
@@ -39,24 +26,25 @@ __all__ = [
     "cmd_recover",
 ]
 
-_MACHINES = {
-    "reference": builders.reference_host,
-    "magny-cours-a": lambda: builders.magny_cours_4p("a"),
-    "magny-cours-b": lambda: builders.magny_cours_4p("b"),
-    "magny-cours-c": lambda: builders.magny_cours_4p("c"),
-    "magny-cours-d": lambda: builders.magny_cours_4p("d"),
-    "intel-4s4n": builders.intel_4s4n,
-    "amd-4s8n": builders.amd_4s8n,
-    "amd-8s8n": builders.amd_8s8n,
-    "hp-blade-32n": builders.hp_blade_32n,
-}
-
-
 def _machine(args: argparse.Namespace):
-    return _MACHINES[args.machine]()
+    from repro.topology import builders
+
+    return {
+        "reference": builders.reference_host,
+        "magny-cours-a": lambda: builders.magny_cours_4p("a"),
+        "magny-cours-b": lambda: builders.magny_cours_4p("b"),
+        "magny-cours-c": lambda: builders.magny_cours_4p("c"),
+        "magny-cours-d": lambda: builders.magny_cours_4p("d"),
+        "intel-4s4n": builders.intel_4s4n,
+        "amd-4s8n": builders.amd_4s8n,
+        "amd-8s8n": builders.amd_8s8n,
+        "hp-blade-32n": builders.hp_blade_32n,
+    }[args.machine]()
 
 
-def _registry(args: argparse.Namespace) -> RngRegistry:
+def _registry(args: argparse.Namespace):
+    from repro.rng import RngRegistry
+
     return RngRegistry(args.seed) if args.seed is not None else RngRegistry()
 
 
@@ -87,6 +75,9 @@ def _open_journal(run_dir, meta: dict, total_units: int):
 
 def cmd_hardware(args: argparse.Namespace) -> int:
     """``repro-numa hardware``."""
+    from repro.osmodel.numactl import Numactl
+    from repro.topology.hwloc import render_links, render_machine
+
     machine = _machine(args)
     print(render_machine(machine))
     print()
@@ -104,6 +95,8 @@ def cmd_hardware(args: argparse.Namespace) -> int:
 
 def cmd_stream(args: argparse.Namespace) -> int:
     """``repro-numa stream``."""
+    from repro.bench.stream import StreamBenchmark
+
     machine = _machine(args)
     bench = StreamBenchmark(
         machine, registry=_registry(args), runs=args.runs, kernel=args.kernel
@@ -124,6 +117,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 def cmd_fio(args: argparse.Namespace) -> int:
     """``repro-numa fio``."""
+    from repro.bench.fio import FioRunner
+    from repro.bench.jobfile import FioJob, parse_jobfile
+
     machine = _machine(args)
     runner = FioRunner(machine, registry=_registry(args))
     if args.jobfile:
@@ -174,6 +170,10 @@ def cmd_iomodel(args: argparse.Namespace) -> int:
     interrupted anywhere and re-run, stdout is byte-identical to an
     uninterrupted run and completed targets are never recomputed.
     """
+    from repro.analysis.report import render_node_sweep
+    from repro.core.characterize import HostCharacterizer
+    from repro.core.iomodel import IOModelBuilder
+
     machine = _machine(args)
     registry = _registry(args)
     targets = _iomodel_targets(args, machine)
@@ -248,6 +248,12 @@ def cmd_iomodel(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     """``repro-numa predict``."""
+    from repro.bench.fio import FioRunner
+    from repro.bench.jobfile import FioJob
+    from repro.core.iomodel import IOModelBuilder
+    from repro.core.predictor import MixturePredictor
+    from repro.experiments.sweeps import operation_sweep
+
     machine = _machine(args)
     registry = _registry(args)
     try:
@@ -276,6 +282,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_advise(args: argparse.Namespace) -> int:
     """``repro-numa advise``."""
+    from repro.bench.fio import FioRunner
+    from repro.bench.jobfile import FioJob
+    from repro.core.iomodel import IOModelBuilder
+    from repro.core.scheduler_advisor import PlacementAdvisor
+    from repro.experiments.sweeps import operation_sweep
+
     machine = _machine(args)
     registry = _registry(args)
     direction = "read" if args.rw in ("read", "recv") else "write"
@@ -301,6 +313,8 @@ def cmd_advise(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     """``repro-numa experiment``."""
+    from repro.experiments import list_experiments, run_experiment
+
     if not args.id:
         for exp_id, title in list_experiments().items():
             print(f"{exp_id:5s} {title}")
@@ -341,6 +355,8 @@ def _experiment_worker(task: tuple[str, bool]) -> tuple[str, bool, str, str, lis
     import os
     import time
 
+    from repro.experiments import run_experiment
+
     exp_id, quick = task
     if os.environ.get("REPRO_CHAOS_KILL_EXPERIMENT") == exp_id:
         # Test hook: die exactly like a worker hit by the OOM killer,
@@ -372,7 +388,7 @@ def _run_all_experiments(args: argparse.Namespace) -> int:
     """
     import pathlib
 
-    from repro.experiments import EXPERIMENTS
+    from repro.experiments import EXPERIMENTS, run_experiment
 
     outdir = pathlib.Path(args.outdir) if args.outdir else None
     if outdir is not None:
@@ -728,6 +744,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_concurrent(args: argparse.Namespace) -> int:
     """``repro-numa concurrent``: a job file's jobs, all at once."""
     from repro.bench.concurrent import ConcurrentRunner
+    from repro.bench.jobfile import parse_jobfile
 
     machine = _machine(args)
     with open(args.jobfile, "r", encoding="utf-8") as handle:
@@ -746,6 +763,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     cache hit rate, simulation events, capacity builds, per-phase wall
     time.  The numbers a contributor watches when touching the solver.
     """
+    from repro.bench.fio import FioRunner
+    from repro.bench.jobfile import FioJob
+    from repro.bench.stream import StreamBenchmark
+    from repro.core.iomodel import IOModelBuilder
     from repro.solver import get_session, reset_sessions
 
     reset_sessions()
@@ -1183,6 +1204,10 @@ def cmd_obs_tail(args: argparse.Namespace) -> int:
 
 def cmd_numastat(args: argparse.Namespace) -> int:
     """``repro-numa numastat``: counters after a small demo workload."""
+    from repro.memory.allocator import PageAllocator
+    from repro.memory.policy import MemBinding
+    from repro.units import MiB
+
     machine = _machine(args)
     allocator = PageAllocator(machine)
     # A little demo traffic: one local-preferred, one bound, one interleave.

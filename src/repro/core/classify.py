@@ -123,20 +123,52 @@ def classify_nodes(
     return tuple(classes)
 
 
+def _kmeans_1d(values: np.ndarray, k: int) -> np.ndarray:
+    """Group labels (0 = lowest) of an exact k-means split of 1-D ``values``.
+
+    Dynamic programme over the distinct sorted values: groups are
+    contiguous runs of them, so equal values always share a group and
+    there are ``min(k, distinct values)`` groups.  Ties in the
+    within-group sum of squares go to the earliest cut.
+    """
+    levels, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    m = len(levels)
+    k = min(k, m)
+    centred = levels - levels.mean()  # keeps the prefix sums well conditioned
+    w = np.r_[0, np.cumsum(counts)]
+    s1 = np.r_[0.0, np.cumsum(counts * centred)]
+    s2 = np.r_[0.0, np.cumsum(counts * centred**2)]
+    # cost[i, j]: sum of squares of one group spanning levels i..j-1.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = (s2[None, :] - s2[:, None]) - (s1[None, :] - s1[:, None]) ** 2 / (
+            w[None, :] - w[:, None]
+        )
+    cost[np.tril_indices(m + 1)] = np.inf
+    best = cost[0]  # best[j]: least cost of levels 0..j-1 in the groups so far
+    cuts = []
+    for _ in range(1, k):
+        total = best[:, None] + cost
+        cuts.append(total.argmin(axis=0))
+        best = total.min(axis=0)
+    starts = [m]
+    for cut in reversed(cuts):
+        starts.append(int(cut[starts[-1]]))
+    bounds = np.array(starts[:0:-1])  # first level of groups 1..k-1
+    return np.searchsorted(bounds, inverse, side="right")
+
+
 def classify_kmeans(
     values: Mapping[int, float],
     machine: Machine,
     target_node: int,
     k: int,
-    seed: int = 0,
 ) -> tuple[PerfClass, ...]:
     """k-means cross-check on the remote nodes (validation aid).
 
     Keeps the local/neighbour rule, clusters the remaining nodes into
-    ``k - 1`` groups with 1-D k-means, and orders classes by mean.
+    ``k - 1`` groups (at most one per distinct value) with exact 1-D
+    k-means, and orders classes by mean.
     """
-    from scipy.cluster.vq import kmeans2
-
     if k < 1:
         raise ModelError(f"k must be >= 1, got {k}")
     first = [
@@ -151,16 +183,9 @@ def classify_kmeans(
     ]
     if not remote:
         return tuple(classes)
-    k_remote = min(k - 1 if k > 1 else 1, len(remote))
-    data = np.array([[values[n]] for n in remote])
-    _centroids, labels = kmeans2(data, k_remote, seed=seed, minit="++")
-    groups: dict[int, list[int]] = {}
-    for node, label in zip(remote, labels):
-        groups.setdefault(int(label), []).append(node)
-    ordered = sorted(
-        groups.values(), key=lambda g: -float(np.mean([values[n] for n in g]))
-    )
-    for group in ordered:
+    labels = _kmeans_1d(np.array([float(values[n]) for n in remote]), max(k - 1, 1))
+    for label in range(labels.max(), -1, -1):
+        group = [n for n, lab in zip(remote, labels) if lab == label]
         classes.append(
             PerfClass(
                 rank=len(classes) + 1,

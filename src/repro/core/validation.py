@@ -4,6 +4,7 @@ The paper validates its memcpy models by checking that real I/O
 operations respect the same class structure (Tables IV/V) — not that
 absolute numbers match.  These metrics quantify that:
 
+* :func:`spearman` — Spearman's rho of two samples, in numpy;
 * :func:`rank_correlation` — Spearman correlation between two per-node
   bandwidth maps (how well one model predicts another's ordering);
 * :func:`class_ordering_holds` — do the measured class averages decrease
@@ -19,12 +20,12 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
 
 from repro.core.model import IOPerformanceModel
 from repro.errors import ModelError
 
 __all__ = [
+    "spearman",
     "rank_correlation",
     "class_ordering_holds",
     "class_separation",
@@ -34,13 +35,38 @@ __all__ = [
 ]
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their ranks."""
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, values.size])
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def spearman(x, y) -> float:
+    """Spearman's rho of two equal-length samples.
+
+    Bit-identical to ``scipy.stats.spearmanr(x, y).statistic``: average
+    ranks for ties, then the same ``corrcoef`` on the same memory layout.
+    NaN where scipy gives NaN: fewer than two samples, a constant sample
+    or a NaN anywhere.
+    """
+    data = np.column_stack((x, y))
+    if len(data) < 2 or (data == data[0]).all(axis=0).any() or np.isnan(data).any():
+        return float("nan")
+    ranked = np.vstack((_average_ranks(data[:, 0]), _average_ranks(data[:, 1]))).T
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
+
+
 def rank_correlation(a: Mapping[int, float], b: Mapping[int, float]) -> float:
     """Spearman rho between two per-node bandwidth maps (common keys)."""
     keys = sorted(set(a) & set(b))
     if len(keys) < 3:
         raise ModelError(f"need >= 3 common nodes for a rank correlation, got {len(keys)}")
-    rho = stats.spearmanr([a[k] for k in keys], [b[k] for k in keys]).statistic
-    return float(rho)
+    return spearman([a[k] for k in keys], [b[k] for k in keys])
 
 
 def class_ordering_holds(

@@ -11,6 +11,10 @@ with :mod:`scipy.optimize`; :func:`fit_engine_profile` wraps the result
 into a ready-to-attach :class:`~repro.devices.response.EngineProfile`.
 The calibration recipe in ``docs/calibration.md`` §4 is exactly this
 function run by hand.
+
+scipy is imported on the first fit, not with this module: it is the
+package's only scipy user, and importing it costs more than most
+commands do.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import optimize
 
 from repro.devices.response import EngineProfile, ResponseCurve
 from repro.errors import DeviceError
@@ -72,6 +75,8 @@ def fit_response_curve(
         With fewer than three distinct path levels (the curve has three
         parameters).
     """
+    from scipy import optimize
+
     common = sorted(set(path_gbps) & set(measured_gbps))
     if len(common) < 3:
         raise DeviceError(

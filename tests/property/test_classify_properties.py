@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.classify import classify_nodes
+from repro.core.classify import classify_kmeans, classify_nodes
 from repro.topology.builders import reference_host
 
 _HOST = reference_host(with_devices=False)
@@ -63,3 +66,38 @@ def test_class_stats_consistent(values, target):
         assert cls.lo - 1e-9 <= cls.avg <= cls.hi + 1e-9
         assert cls.lo == min(values[n] for n in cls.node_ids)
         assert cls.hi == max(values[n] for n in cls.node_ids)
+
+
+tied_values_strategy = st.fixed_dictionaries(
+    {
+        n: st.one_of(
+            st.integers(min_value=1, max_value=4).map(lambda v: 12.5 * v),
+            st.floats(min_value=1.0, max_value=60.0),
+        )
+        for n in _HOST.node_ids
+    }
+)
+
+
+def _sse(groups) -> float:
+    return sum(float(np.sum((np.array(g) - np.mean(g)) ** 2)) for g in groups)
+
+
+@given(tied_values_strategy, st.sampled_from(_HOST.node_ids),
+       st.integers(min_value=1, max_value=8))
+@settings(max_examples=200, deadline=None)
+def test_kmeans_is_exact(values, target, k):
+    remote = classify_kmeans(values, _HOST, target, k)[1:]
+    groups = [sorted((values[n] for n in c.node_ids), reverse=True) for c in remote]
+    ordered = [v for g in groups for v in g]
+    # Classes are runs of the descending values; equal values share one.
+    assert ordered == sorted(ordered, reverse=True)
+    for earlier, later in zip(groups, groups[1:]):
+        assert earlier[-1] > later[0]
+    assert len(groups) == min(max(k - 1, 1), len(set(ordered)))
+    # No split of the sorted values into as many runs does better.
+    best = min(
+        _sse([ordered[a:b] for a, b in zip((0, *cuts), (*cuts, len(ordered)))])
+        for cuts in combinations(range(1, len(ordered)), len(groups) - 1)
+    )
+    assert _sse(groups) <= best + 1e-9 * max(best, 1.0)

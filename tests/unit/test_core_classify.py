@@ -1,5 +1,7 @@
 """Performance-class construction."""
 
+import warnings
+
 import pytest
 
 from repro.core.classify import PerfClass, classify_kmeans, classify_nodes
@@ -98,3 +100,11 @@ class TestClassifyKmeans:
     def test_invalid_k(self, host, write_values):
         with pytest.raises(ModelError):
             classify_kmeans(write_values, host, 7, k=0)
+
+    def test_k_beyond_distinct_values_is_warning_free(self, host, write_values):
+        # Target 7's remote write values take two distinct levels, so
+        # k=4's three remote groups cap at two: no empty cluster.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            km = classify_kmeans(write_values, host, 7, k=4)
+        assert [c.node_ids for c in km] == [(6, 7), (0, 1, 4, 5), (2, 3)]

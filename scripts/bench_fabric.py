@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Record BENCH_fabric.json: the worker-fabric evidence.
 
-Four paired measurements, written in pytest-benchmark JSON shape so
+Two paired measurements, written in pytest-benchmark JSON shape so
 ``scripts/bench_gate.py`` gates them like every other suite:
 
 * ``fabric_sweep_serial_64n`` / ``fabric_sweep_jobs4_64n`` — the
@@ -18,10 +18,6 @@ Four paired measurements, written in pytest-benchmark JSON shape so
   (tasks carry a segment name; workers map the arena once and hit their
   cache after).  This is the zero-copy win and it does not need spare
   cores to show up.
-* ``fabric_service_solve_inline`` / ``fabric_service_solve_pool`` —
-  cold Algorithm 1 builds through :class:`AdvisoryBackend`, in-process
-  vs the process-pool solver tier (per-solve mean, fresh seeds each
-  round so no cache tier hides the build).
 
 Usage::
 
@@ -30,7 +26,6 @@ Usage::
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import statistics
@@ -41,17 +36,15 @@ from repro.core.characterize import HostCharacterizer
 from repro.fabric import FabricPool
 from repro.fabric.pool import _WORKER_MACHINE_LIMIT
 from repro.rng import RngRegistry
-from repro.service.backend import AdvisoryBackend
 from repro.solver.capacity import machine_fingerprint
 from repro.solver.session import reset_sessions
-from repro.topology.builders import reference_host, scaled_host
+from repro.topology.builders import scaled_host
 from repro.topology.serialize import machine_to_dict
 
 SWEEP_RUNS = 5
 SWEEP_ROUNDS = 3
 DISPATCH_TASKS = 32
 DISPATCH_ROUNDS = 5
-SERVICE_ROUNDS = 3
 
 
 def _stats(samples: "list[float]") -> dict:
@@ -146,38 +139,6 @@ def bench_dispatch(results: list) -> "tuple[float, float]":
     return pickle_stats["mean"], attach_stats["mean"]
 
 
-def bench_service(results: list) -> "tuple[float, float]":
-    host = reference_host()
-    targets = list(host.node_ids)
-
-    def cold_solves(solver_pool, seed):
-        backend = AdvisoryBackend(
-            host, registry=RngRegistry(seed), runs=10, solver_pool=solver_pool
-        )
-        start = time.perf_counter()
-        for target in targets:
-            backend.model(target, "write")
-        return (time.perf_counter() - start) / len(targets)
-
-    inline_samples = [
-        cold_solves(None, 1000 + round_idx) for round_idx in range(SERVICE_ROUNDS)
-    ]
-    results.append(
-        {"name": "fabric_service_solve_inline", "stats": _stats(inline_samples)}
-    )
-
-    with FabricPool(jobs=2) as pool:
-        cold_solves(pool, 999)  # warm the workers and the arena
-        pool_samples = [
-            cold_solves(pool, 2000 + round_idx)
-            for round_idx in range(SERVICE_ROUNDS)
-        ]
-    results.append(
-        {"name": "fabric_service_solve_pool", "stats": _stats(pool_samples)}
-    )
-    return _stats(inline_samples)["mean"], _stats(pool_samples)["mean"]
-
-
 def main(argv: "list[str]") -> int:
     out_path = argv[1] if len(argv) > 1 else "BENCH_fabric.json"
     cpu_count = os.cpu_count() or 1
@@ -192,10 +153,6 @@ def main(argv: "list[str]") -> int:
     print(f"dispatch 256n x{DISPATCH_TASKS}: pickle-per-task "
           f"{pickle_mean * 1e3:.1f} ms, attach {attach_mean * 1e3:.1f} ms "
           f"(x{pickle_mean / attach_mean:.2f})")
-
-    inline_mean, pool_mean = bench_service(results)
-    print(f"service cold solve: inline {inline_mean * 1e3:.2f} ms, "
-          f"pool {pool_mean * 1e3:.2f} ms")
 
     payload = {
         "machine_info": {

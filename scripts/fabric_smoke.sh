@@ -10,8 +10,7 @@
 #   3. With --obs-dir, the sharded run's manifest carries the same RNG
 #      draw ledger as the serial run (worker telemetry grafting).
 #   4. No arena segment is leaked in /dev/shm after: a normal run, a
-#      session-LRU eviction storm, a worker SIGKILL, and a
-#      `serve --stdio --solver-pool` drain.
+#      session-LRU eviction storm, and a worker SIGKILL.
 #   5. BENCH_fabric.json is re-recorded and gated against the committed
 #      baseline (tolerance +50% — process fork times are noisy).
 set -eu
@@ -106,7 +105,7 @@ print(f"draw ledgers identical ({len(serial)} streams); "
 EOF
 leak_check "the telemetry runs"
 
-echo "== 4. session eviction + serve drain release their arenas"
+echo "== 4. session eviction releases its arena"
 PYTHONPATH=src python - <<'EOF'
 from repro.fabric import get_arena, live_segments
 from repro.solver import session as session_mod
@@ -126,26 +125,6 @@ reset_sessions()
 print("session-LRU eviction released its arena")
 EOF
 leak_check "the eviction storm"
-
-printf '%s\n' \
-  '{"jsonrpc":"2.0","id":1,"method":"classify","params":{"target":7,"mode":"write"}}' \
-  '{"jsonrpc":"2.0","id":2,"method":"health","params":{}}' \
-  | PYTHONPATH=src python -m repro.cli.main serve --stdio --solver-pool 2 \
-      --runs 10 > "$WORK/serve_pool.txt" 2>/dev/null
-PYTHONPATH=src FABRIC_SMOKE_WORK="$WORK" python - <<'EOF'
-import json
-import os
-
-with open(os.path.join(os.environ["FABRIC_SMOKE_WORK"], "serve_pool.txt"),
-          encoding="utf-8") as fh:
-    replies = [json.loads(line) for line in fh if line.strip()]
-health = next(r for r in replies if r.get("id") == 2)
-stats = health["result"]["solver_pool"]
-assert stats["completed"] >= 2, stats
-print(f"solver-pool tier served {stats['completed']} builds "
-      f"({stats['jobs']} workers)")
-EOF
-leak_check "the serve --solver-pool drain"
 
 echo "== 5. record + gate BENCH_fabric.json"
 PYTHONPATH=src python scripts/bench_fabric.py "$WORK/fabric.json"

@@ -205,9 +205,21 @@ assert event["served_answers"] == 4, event
 assert service.live.counters["service.drift.events"] == 1
 flight = [e for e in service.live.flight.events() if e["kind"] == "drift"]
 assert len(flight) == 1 and flight[0]["tags"] == event, flight
+
+# Restore the healthy fabric: the cached healthy model is refit into
+# the tier store on the first answer (tier 3, no new solve), and the
+# fast tier serves again from the next one.
+solves = backend.solves
+backend.restore_machine()
+restored = call("classify", {"target": 7, "mode": "write"})
+assert restored["tier"] == 3, restored
+resumed = call("classify", {"target": 7, "mode": "write"})
+assert resumed["tier"] == 2 and resumed["source"] == "class-model", resumed
+assert backend.solves == solves, (solves, backend.solves)
 print(f"OK: drift drill — deviation {event['deviation']:.3f} > 0.10, "
       f"regime {event['regime']}, {event['served_answers']} answers "
-      "exposed, flight-recorder event present")
+      "exposed, flight-recorder event present; tier 2 resumes after "
+      "restore without a re-solve")
 EOF
 
 echo

@@ -10,7 +10,3 @@ Subcommands mirror the tools the paper uses plus its own contribution:
 * ``advise`` — class-aware placement advice;
 * ``experiment`` — regenerate any paper table/figure by id.
 """
-
-from repro.cli.main import main
-
-__all__ = ["main"]

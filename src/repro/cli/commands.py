@@ -593,99 +593,81 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 0 if total and healthy_end else 1
 
     machine = _serve_machine(args)
-    solver_pool = None
-    if getattr(args, "solver_pool", None):
-        if args.solver_pool < 1:
-            raise ReproError(
-                f"--solver-pool must be >= 1, got {args.solver_pool}"
-            )
-        from repro.fabric import FabricPool
+    warm = _warm_targets(machine, getattr(args, "warm", None))
+    backend = AdvisoryBackend(
+        machine,
+        registry=_registry(args),
+        runs=args.runs,
+        tier_max_staleness_s=getattr(args, "tier_max_staleness", None),
+    )
 
-        solver_pool = FabricPool(jobs=args.solver_pool)
-    try:
-        warm = _warm_targets(machine, getattr(args, "warm", None))
-        backend = AdvisoryBackend(
-            machine,
-            registry=_registry(args),
-            runs=args.runs,
-            solver_pool=solver_pool,
-            tier_max_staleness_s=getattr(args, "tier_max_staleness", None),
-        )
-
-        if args.stdio:
-            # A logical clock ticking once per answered line keeps the
-            # response stream (staleness tags included) byte-stable.
-            service = PlacementService(
-                backend,
-                breaker=CircuitBreaker(
-                    failure_threshold=args.failure_threshold
-                ),
-                clock=LogicalClock(),
-            )
-            backend.warm(warm)
-            serve_stdio(service)
-            return 0
-
+    if args.stdio:
+        # A logical clock ticking once per answered line keeps the
+        # response stream (staleness tags included) byte-stable.
         service = PlacementService(
             backend,
             breaker=CircuitBreaker(failure_threshold=args.failure_threshold),
+            clock=LogicalClock(),
         )
-        # Black-box evidence on the two paths that need it most: a
-        # breaker trip streams the flight recorder to stderr, and an
-        # unexpected transport crash dumps it on the way down.
-        service.flight_dump_sink = _print_flight_dump
-        config = ServiceConfig(
-            host=args.host,
-            port=args.port,
-            queue_limit=args.queue_limit,
-            workers=args.workers,
-            failure_threshold=args.failure_threshold,
-        )
-
-        async def _run() -> None:
-            server = AsyncPlacementServer(service, config)
-            # Warm off-loop so the listener binds immediately; 'ready'
-            # answers false until the warmup thread completes.
-            warm_task = asyncio.create_task(
-                asyncio.to_thread(backend.warm, warm)
-            )
-
-            def _warm_done(task: "asyncio.Task") -> None:
-                if task.cancelled():
-                    return
-                exc = task.exception()
-                if exc is not None:
-                    print(
-                        f"warmup failed: {type(exc).__name__}: {exc}",
-                        file=sys.stderr, flush=True,
-                    )
-
-            warm_task.add_done_callback(_warm_done)
-            await server.start()
-            print(
-                f"serving {machine.name} on {config.host}:{server.port} "
-                f"(queue {config.queue_limit}, workers {config.workers})",
-                flush=True,
-            )
-            try:
-                await server.serve_forever()
-            finally:
-                if not warm_task.done():
-                    warm_task.cancel()
-                await server.drain()
-
-        try:
-            asyncio.run(_run())
-        except KeyboardInterrupt:
-            pass
-        except Exception:
-            service._drain_obs()  # the dump must show the final lines
-            _print_flight_dump(service.live.flight.dump())
-            raise
+        backend.warm(warm)
+        serve_stdio(service)
         return 0
-    finally:
-        if solver_pool is not None:
-            solver_pool.close()
+
+    service = PlacementService(
+        backend,
+        breaker=CircuitBreaker(failure_threshold=args.failure_threshold),
+    )
+    # Black-box evidence on the two paths that need it most: a
+    # breaker trip streams the flight recorder to stderr, and an
+    # unexpected transport crash dumps it on the way down.
+    service.flight_dump_sink = _print_flight_dump
+    config = ServiceConfig(
+        host=args.host,
+        port=args.port,
+        queue_limit=args.queue_limit,
+        workers=args.workers,
+        failure_threshold=args.failure_threshold,
+    )
+
+    async def _run() -> None:
+        server = AsyncPlacementServer(service, config)
+        # Warm off-loop so the listener binds immediately; 'ready'
+        # answers false until the warmup thread completes.
+        warm_task = asyncio.create_task(asyncio.to_thread(backend.warm, warm))
+
+        def _warm_done(task: "asyncio.Task") -> None:
+            if task.cancelled():
+                return
+            exc = task.exception()
+            if exc is not None:
+                print(
+                    f"warmup failed: {type(exc).__name__}: {exc}",
+                    file=sys.stderr, flush=True,
+                )
+
+        warm_task.add_done_callback(_warm_done)
+        await server.start()
+        print(
+            f"serving {machine.name} on {config.host}:{server.port} "
+            f"(queue {config.queue_limit}, workers {config.workers})",
+            flush=True,
+        )
+        try:
+            await server.serve_forever()
+        finally:
+            if not warm_task.done():
+                warm_task.cancel()
+            await server.drain()
+
+    try:
+        asyncio.run(_run())
+    except KeyboardInterrupt:
+        pass
+    except Exception:
+        service._drain_obs()  # the dump must show the final lines
+        _print_flight_dump(service.live.flight.dump())
+        raise
+    return 0
 
 
 def _print_flight_dump(dump: dict) -> None:
@@ -1102,7 +1084,7 @@ def cmd_obs_scrape(args: argparse.Namespace) -> int:
 
 
 def _render_top(payload: dict) -> str:
-    """One ``obs top`` frame: tier mix, percentiles, breaker, pool."""
+    """One ``obs top`` frame: tier mix, percentiles, breaker, drift."""
     lines = [
         f"{payload['machine']}  up {payload['uptime_s']:.1f}s  "
         f"requests {payload['requests']}  "
@@ -1134,14 +1116,6 @@ def _render_top(payload: dict) -> str:
             f"  drift   : {drift['events']} event(s), "
             f"{drift['watched']} watched, threshold {drift['threshold']}"
         )
-    pool = payload.get("gauges", {}).get("fabric_pool")
-    if pool:
-        busy = pool["dispatched"] - pool["completed"]
-        lines.append(
-            f"  pool    : {pool['jobs']} worker(s), {busy} in flight, "
-            f"{pool['completed']} completed, {pool['retried']} retried, "
-            f"{pool['abandoned']} abandoned"
-        )
     occ = payload.get("flight_recorder", {})
     if occ:
         lines.append(
@@ -1153,7 +1127,7 @@ def _render_top(payload: dict) -> str:
 
 def cmd_obs_top(args: argparse.Namespace) -> int:
     """``repro-numa obs top``: poll a live server and render tier mix,
-    latency percentiles, breaker and pool state."""
+    latency percentiles, breaker and drift state."""
     import time as _time
 
     polls = 0

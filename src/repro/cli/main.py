@@ -244,9 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="concurrent solver workers (TCP transport)")
     p.add_argument("--failure-threshold", type=int, default=3,
                    help="consecutive solver failures that trip the breaker")
-    p.add_argument("--solver-pool", type=int, default=None, metavar="N",
-                   help="build cold models in N fabric worker processes "
-                        "(shared-memory arenas) instead of in-process")
     p.add_argument("--tier-max-staleness", dest="tier_max_staleness",
                    type=float, default=None, metavar="S",
                    help="re-characterize when tier 1-2 cache entries are "

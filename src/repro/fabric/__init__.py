@@ -17,8 +17,7 @@ Layers (bottom up):
 * :mod:`repro.fabric.telemetry` — per-worker span/counter capture and
   deterministic grafting back into the parent's trace recorder.
 * :mod:`repro.fabric.pool` — :class:`FabricPool`, the persistent worker
-  pool that shards sweeps, runs experiment batches, and serves as the
-  placement service's process-pool solver tier.
+  pool that shards sweeps and runs experiment batches.
 """
 
 from repro.fabric.arena import (

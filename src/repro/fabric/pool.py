@@ -2,8 +2,7 @@
 
 :class:`FabricPool` is the process fan-out layer of the reproduction:
 it shards characterization sweeps (`build_many` / `characterize_many` /
-`bulk_copy_gbps_many`), runs experiment batches, and serves as the
-service's process-pool solver tier (`build_model`) — all against
+`bulk_copy_gbps_many`) and runs experiment batches — all against
 machines that workers **map** from a shared-memory arena instead of
 unpickling per task.
 
@@ -60,13 +59,11 @@ from repro.solver.capacity import machine_fingerprint
 
 __all__ = ["FabricPool"]
 
-#: Worker-side LRU bounds (machines/arenas and memoized models).
+#: Worker-side LRU bound on attached machines/arenas.
 _WORKER_MACHINE_LIMIT = 16
-_WORKER_MODEL_LIMIT = 32
 
-#: Worker-side caches, living in each worker process.
+#: Worker-side machine cache, living in each worker process.
 _WORKER_MACHINES: "OrderedDict[str, tuple]" = OrderedDict()
-_WORKER_MODELS: "OrderedDict[tuple, object]" = OrderedDict()
 
 #: Whether this worker already served its injected stall (one per
 #: process; armed by ``repro.faults.execution.WorkerStall``).
@@ -91,7 +88,6 @@ def _worker_init() -> None:
         session._arena = None
     _SESSIONS.clear()
     _WORKER_MACHINES.clear()
-    _WORKER_MODELS.clear()
     _obs.uninstall()
 
 
@@ -149,24 +145,6 @@ def _run_kind(kind: str, machine, registry, payload: dict):
         return bulk_copy_gbps_many(
             machine, [tuple(p) for p in payload["pairs"]], payload["threads"]
         )
-    if kind == "build_model":
-        from repro.core.iomodel import IOModelBuilder
-
-        key = (
-            machine_fingerprint(machine), payload["target"], payload["mode"],
-            registry.seed, tuple(sorted(payload["builder"].items())),
-        )
-        model = _WORKER_MODELS.get(key)
-        if model is None:
-            builder = IOModelBuilder(machine, registry=registry,
-                                     **payload["builder"])
-            model = builder.build(payload["target"], payload["mode"])
-            _WORKER_MODELS[key] = model
-            while len(_WORKER_MODELS) > _WORKER_MODEL_LIMIT:
-                _WORKER_MODELS.popitem(last=False)
-        else:
-            _WORKER_MODELS.move_to_end(key)
-        return model
     if kind == "experiment":
         import time
 
@@ -276,12 +254,7 @@ class FabricPool:
         self.dispatched = 0
         self.completed = 0
         self.retried = 0
-        self.abandoned = 0
         self.closed = False
-        #: Optional :class:`repro.obs.live.LivePlane` — when the
-        #: placement service grafts one on, ``build_model`` records its
-        #: wall-clock dispatch latency into ``fabric.dispatch``.
-        self.live = None
         # A SIGKILLed predecessor never ran its atexit sweep; clear its
         # dead-owner segments before publishing under the same names.
         try:
@@ -330,20 +303,13 @@ class FabricPool:
         return False
 
     # --- accounting -------------------------------------------------------
-    def note_abandoned(self) -> None:
-        """Record a deadline-abandoned solve (the worker slot stays busy
-        until the orphaned task finishes; nobody reads its result)."""
-        self.abandoned += 1
-        _obs.count("fabric.abandoned")
-
     def stats(self) -> dict:
-        """JSON-able pool accounting (service ``health`` payloads)."""
+        """JSON-able pool accounting (dispatch counters, live arenas)."""
         return {
             "jobs": self.jobs,
             "dispatched": self.dispatched,
             "completed": self.completed,
             "retried": self.retried,
-            "abandoned": self.abandoned,
             "arenas": len(self._arenas),
         }
 
@@ -624,34 +590,3 @@ class FabricPool:
         if crashed:
             self._rebuild_executor()
         return outcomes
-
-    # --- the solver tier --------------------------------------------------
-    def build_model(self, machine, target: int, mode: str,
-                    registry: "RngRegistry | None" = None,
-                    **builder_kwargs):
-        """Build one Algorithm 1 model in a worker process.
-
-        The service's solver tier: the parent's asyncio loop (and GIL)
-        never runs the solve.  Solver failures propagate with their
-        original types so the circuit breaker counts them unchanged.
-        Workers memoize models per (fingerprint, target, mode, seed,
-        builder-config); a memo hit draws nothing, exactly like a
-        parent-side cache hit.
-        """
-        seed = registry.seed if registry is not None else self.seed
-        ref = self._machine_ref(machine)
-        task = self._task("build_model", ref, seed, {
-            "target": target,
-            "mode": mode,
-            "builder": dict(builder_kwargs),
-        })
-        if self.live is not None:
-            started = time.perf_counter()
-            envelopes = self._run_tasks([task])
-            self.live.record(
-                "fabric.dispatch", time.perf_counter() - started
-            )
-        else:
-            envelopes = self._run_tasks([task])
-        self._merge(envelopes, registry, "fabric.build_model")
-        return envelopes[0]["result"]

@@ -38,7 +38,6 @@ tiers, the breaker serves degraded answers).
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 
 from repro.retrying import RetryPolicy
@@ -76,16 +75,14 @@ class RepairSupervisor:
     ----------
     backend:
         The advisory backend to repair through (its single-flight
-        ``model()`` is the tier-3 path, so repair solves coalesce with
-        request solves and run through the fabric pool when one is
-        configured).
+        ``recharacterize()`` is the tier-3 path, so repair solves
+        coalesce with request solves).
     retry:
         Backoff policy between failed repair attempts; ``max_retries``
         bounds the attempts per job (an exhausted job stays quarantined
         — honestly labelled — until a machine swap revalidates it).
     max_concurrency:
-        Repair solves launched per :meth:`pump` call (and the semaphore
-        width of the async :meth:`run` loop).
+        Repair solves launched per :meth:`pump` call.
     verify_fit_rel_err:
         Promotion bar: the fresh :class:`~repro.service.tiers.AnalyticFit`
         must report ``eq1_rel_err_bound`` at or under this, else the
@@ -218,8 +215,9 @@ class RepairSupervisor:
         Deterministic: due jobs run in sorted key order, each solve
         goes through the backend's single-flight tier-3 path, and the
         backoff after a failure draws from the seeded stream.  The
-        soak calls this once per scripted line; the TCP transport's
-        :meth:`run` task calls it on an interval.
+        loop runs wherever this is called: the convergence soak calls
+        it once per scripted line, library callers on their own
+        schedule.
         """
         if now is None:
             now = self.clock()
@@ -291,20 +289,6 @@ class RepairSupervisor:
             "phase": "promote", "target": target, "mode": mode,
             "reason": reason,
         })
-
-    async def run(self, interval_s: float = 0.25) -> None:
-        """The asyncio background loop for the TCP transport.
-
-        Pumps off-loop (solves block) every ``interval_s`` until
-        cancelled.  The sync :meth:`pump` stays the only brain — the
-        soak and the TCP server repair through identical code.
-        """
-        try:
-            while True:
-                await asyncio.to_thread(self.pump)
-                await asyncio.sleep(interval_s)
-        except asyncio.CancelledError:
-            raise
 
     # --- reporting ---------------------------------------------------------
     def stats(self) -> dict:

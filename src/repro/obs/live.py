@@ -24,9 +24,8 @@ cost under 5 % of serving throughput):
   ``metrics`` method) and automatically on breaker trip or crash,
   without waiting for process exit.
 * :class:`LivePlane` — the registry tying them together: named
-  histograms, named counters, the flight recorder, and grafted gauge
-  sources (the fabric pool's utilization counters).  The service owns
-  one plane; every duration it records is measured on the *service
+  histograms, named counters, and the flight recorder.  The service
+  owns one plane; every duration it records is measured on the *service
   clock*, so the deterministic soak (logical clock) reads no wall
   clock anywhere and same-seed twins stay byte-identical.
 * :class:`DriftWatch` — per-``(target, mode)`` online estimators fed
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.obs import recorder as _obs
 
@@ -333,14 +332,14 @@ class FlightRecorder:
 class LivePlane:
     """The always-on online metrics registry for one serving process.
 
-    Named :class:`Hist` histograms, named integer counters, one
-    :class:`FlightRecorder`, and grafted gauge sources — zero external
-    dependencies, no background threads, no wall-clock reads of its
-    own (every duration recorded into it was measured on the caller's
-    clock).  Distinct from :data:`repro.obs.metrics.metrics`: that
-    registry only fills while a :class:`~repro.obs.recorder.TraceRecorder`
-    is installed; the live plane is always on and must therefore stay
-    cheap enough to never need a switch.
+    Named :class:`Hist` histograms, named integer counters and one
+    :class:`FlightRecorder` — zero external dependencies, no background
+    threads, no wall-clock reads of its own (every duration recorded
+    into it was measured on the caller's clock).  Distinct from
+    :data:`repro.obs.metrics.metrics`: that registry only fills while a
+    :class:`~repro.obs.recorder.TraceRecorder` is installed; the live
+    plane is always on and must therefore stay cheap enough to never
+    need a switch.
     """
 
     enabled = True
@@ -353,9 +352,6 @@ class LivePlane:
         self.hists: dict[str, Hist] = {}
         self.counters: dict[str, int] = {}
         self.flight = FlightRecorder(span_capacity, event_capacity)
-        #: name -> zero-arg callable returning a JSON-able gauge block
-        #: (the fabric pool grafts its ``stats`` here).
-        self.gauge_sources: dict[str, Callable[[], dict]] = {}
 
     def hist(self, name: str) -> Hist:
         """The named histogram (created empty on first use)."""
@@ -372,17 +368,6 @@ class LivePlane:
         """Add ``n`` to the named counter (created at zero)."""
         counters = self.counters
         counters[name] = counters.get(name, 0) + n
-
-    def graft_gauges(self, name: str, source: Callable[[], dict]) -> None:
-        """Register a live gauge source (read at snapshot time)."""
-        self.gauge_sources[name] = source
-
-    def gauges(self) -> dict:
-        """Every grafted gauge block, read now, sorted by name."""
-        return {
-            name: self.gauge_sources[name]()
-            for name in sorted(self.gauge_sources)
-        }
 
     def merged_hists(self) -> "dict[str, Hist]":
         """The exposition view of :attr:`hists`, sorted by name.
@@ -411,7 +396,7 @@ class LivePlane:
         return {name: merged[name] for name in sorted(merged)}
 
     def snapshot(self) -> dict:
-        """JSON-able plane state: counters, histogram summaries, gauges,
+        """JSON-able plane state: counters, histogram summaries and
         flight-recorder occupancy.  Stable ordering throughout."""
         return {
             "counters": {
@@ -421,7 +406,6 @@ class LivePlane:
                 name: hist.to_dict()
                 for name, hist in self.merged_hists().items()
             },
-            "gauges": self.gauges(),
             "flight_recorder": self.flight.occupancy(),
         }
 
@@ -646,21 +630,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _flatten_gauges(prefix: str, block, lines: list) -> None:
-    """Emit one line per numeric leaf of a grafted gauge block."""
-    if isinstance(block, Mapping):
-        for key in sorted(block):
-            _flatten_gauges(f"{prefix}_{_sanitize(str(key))}", block[key], lines)
-        return
-    if isinstance(block, (int, float)) and not isinstance(block, bool):
-        lines.append(f"{prefix} {_fmt(block)}")
-    elif isinstance(block, bool):
-        lines.append(f"{prefix} {_fmt(block)}")
-    elif isinstance(block, str):
-        lines.append(f'{prefix}{{value="{block}"}} 1')
-    # non-scalar leaves (None, lists) are skipped: exposition is numeric
-
-
 def render_scrape(payload: Mapping, prefix: str = "repro") -> str:
     """The ``metrics`` payload as Prometheus-style text exposition.
 
@@ -762,11 +731,5 @@ def render_scrape(payload: Mapping, prefix: str = "repro") -> str:
                 f'{prefix}_flight_recorder_occupancy{{ring="{key}"}} '
                 f"{_fmt(occupancy[key])}"
             )
-
-    pool = payload.get("fabric_pool")
-    if pool:
-        _flatten_gauges(f"{prefix}_fabric_pool", pool, lines)
-    for name, block in sorted((payload.get("gauges") or {}).items()):
-        _flatten_gauges(f"{prefix}_{_sanitize(name)}", block, lines)
 
     return "\n".join(lines) + "\n"

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from repro.analysis.planner import DeviceAttachmentPlanner
 from repro.core.iomodel import IOModelBuilder
 from repro.core.model import IOPerformanceModel
-from repro.core.scheduler_advisor import PlacementAdvisor
 from repro.errors import (
     FaultError,
     ModelError,
@@ -67,6 +66,7 @@ from repro.service.tiers import (
     TIER_CLASS,
     TIER_SOLVE,
     TIER_ANALYTIC,
+    TierEntry,
     TierStore,
     WireAnswer,
     stamp_tier,
@@ -91,6 +91,28 @@ SOLVER_FAILURES = (RoutingError, TopologyError, SimulationError, FaultError)
 #: transport overwrites :attr:`AdvisoryBackend.live` (and ``drift``)
 #: with its own, exactly like it overwrites the clock.
 _NULL_PLANE = NullLivePlane()
+
+#: Labels a copied tier-entry payload carries off the live tier-1/2
+#: path: a tier-3 answer, and the breaker's and the repair loop's
+#: last-good answers.
+_SOLVED = {"source": "characterization"}
+_LAST_GOOD = {"degraded": True, "source": "last-good-characterization"}
+_REPAIRING = {
+    "degraded": True, "source": "last-good-repairing", "repairing": True,
+}
+
+
+def _relabel(
+    payload: dict, labels: dict, tier: int, staleness_s: float
+) -> dict:
+    """A plain-dict copy of a tier-entry payload under ``labels``.
+
+    The labels change the bytes, so the copy drops the entry's
+    pre-encoded wire form and the answer takes the full-encode path.
+    """
+    payload = dict(payload)
+    payload.update(labels)
+    return stamp_tier(payload, tier, staleness_s)
 
 
 class SessionPool:
@@ -226,12 +248,6 @@ class AdvisoryBackend:
         Warm session pool (defaults to a fresh one).
     model_cache:
         LRU bound on cached characterizations.
-    solver_pool:
-        Optional :class:`~repro.fabric.FabricPool`: cold model builds
-        run in its worker processes (shared-memory arenas, no event-loop
-        stalls) instead of in-process.  Results are bit-identical either
-        way, so the tier is a latency knob, not a semantics knob; solver
-        failures keep their types so the breaker counts them unchanged.
     clock:
         Monotonic seconds for staleness accounting.  The service
         transport overwrites this with its own clock, so the chaos
@@ -250,7 +266,6 @@ class AdvisoryBackend:
         runs: int = 25,
         pool: SessionPool | None = None,
         model_cache: int = 32,
-        solver_pool=None,
         clock=time.monotonic,
         tier_max_staleness_s: "float | None" = None,
     ) -> None:
@@ -260,7 +275,6 @@ class AdvisoryBackend:
         self.registry = registry if registry is not None else RngRegistry()
         self.runs = runs
         self.pool = pool if pool is not None else SessionPool()
-        self.solver_pool = solver_pool
         self.clock = clock
         self.tier_max_staleness_s = tier_max_staleness_s
         self._model_cache_size = model_cache
@@ -329,27 +343,23 @@ class AdvisoryBackend:
             )
 
     def _solve_model(self, target: int, mode: str) -> IOPerformanceModel:
-        """One genuine tier-3 solve (in-process or via the fabric pool)."""
+        """One genuine tier-3 solve."""
         self.solves += 1
         session = self.pool.acquire(self.machine)  # warm the capacity cache
         started = self.clock()
-        if self.solver_pool is not None:
-            model = self.solver_pool.build_model(
-                self.machine, target, mode,
-                registry=self.registry, runs=self.runs,
-            )
-        else:
-            builder = IOModelBuilder(
-                self.machine, registry=self.registry, runs=self.runs
-            )
-            builder.session = session  # reuse the pinned warm session
-            model = builder.build(target, mode)
+        builder = IOModelBuilder(
+            self.machine, registry=self.registry, runs=self.runs
+        )
+        builder.session = session  # reuse the pinned warm session
+        model = builder.build(target, mode)
         # Service-clock solve time: 0.0 on the soak's logical clock, so
         # the histogram stays a pure function of the request stream.
         self.live.record("service.solve", self.clock() - started)
         return model
 
-    def _refresh_tiers(self, model: IOPerformanceModel, fingerprint: str) -> None:
+    def _refresh_tiers(
+        self, model: IOPerformanceModel, fingerprint: str
+    ) -> TierEntry:
         """Fold a completed solve into the tier store (tiers 1–2 warm).
 
         Also the drift watch's observation point: every landed solve is
@@ -360,7 +370,7 @@ class AdvisoryBackend:
         sibling keys it implicates get re-characterized too.
         """
         snapshot = ClassSnapshot.from_model(model)
-        self.tiers.refresh(
+        entry = self.tiers.refresh(
             snapshot, model, self.machine, fingerprint, self.clock(),
         )
         self.tiers.promote(model.target_node, model.mode)
@@ -371,6 +381,7 @@ class AdvisoryBackend:
             )
             if event is not None and self.on_repair_drift is not None:
                 self.on_repair_drift(event)
+        return entry
 
     def _stale(self, target: int, mode: str, fingerprint: str) -> bool:
         if self.tier_max_staleness_s is None:
@@ -435,22 +446,22 @@ class AdvisoryBackend:
                 self._inflight.pop(key, None)
             flight.event.set()
 
-    def recharacterize(self, target: int, mode: str):
-        """The repair loop's solve: model + tier refresh, returns the entry.
+    def recharacterize(self, target: int, mode: str) -> TierEntry:
+        """The tier-3 path: model + tier refresh, returns the entry.
 
-        Same single-flight tier-3 path as :meth:`model`, with one extra
+        Same single-flight solve as :meth:`model`, with one extra
         guarantee: the resulting :class:`~repro.service.tiers.TierEntry`
         is refreshed under the *live* fingerprint even when the model
         came from the cache — after a fault clears, the healthy model
-        is usually still cached, so the repair is a re-fit and a
-        promotion, not a genuine re-solve.
+        is usually still cached, so the answer is a re-fit and a
+        promotion, not a genuine re-solve.  Tier-3 request answers and
+        the repair loop both go through here.
         """
         model = self.model(target, mode)
         fingerprint = machine_fingerprint(self.machine)
         entry = self.tiers.entries.get((target, mode))
         if entry is None or entry.fingerprint != fingerprint:
-            self._refresh_tiers(model, fingerprint)
-            entry = self.tiers.entries.get((target, mode))
+            entry = self._refresh_tiers(model, fingerprint)
         return entry
 
     def warm(self, targets: "tuple[int, ...] | None" = None) -> None:
@@ -489,14 +500,15 @@ class AdvisoryBackend:
         stampede the solver while the repair supervisor is already
         re-characterizing the key, and never get an unlabelled stale
         answer.  With no last-good cover it falls through to tier 3
-        (whose landed solve lifts the quarantine).
+        (whose landed solve lifts the quarantine).  Every tier answers
+        through the same :class:`~repro.service.tiers.TierEntry` builder.
         """
         self._check_node(target, "target")
         if self.tiers.quarantine_reason(target, mode) is not None:
-            payload = self.repairing_answer("advise", {
+            payload = self._last_good_answer("advise", {
                 "target": target, "mode": mode, "tasks": tasks,
                 "avoid_irq_node": avoid_irq_node, "tolerance": tolerance,
-            })
+            }, repairing=True)
             if payload is not None:
                 return payload
         entry = self._entry(target, mode)
@@ -508,21 +520,11 @@ class AdvisoryBackend:
                 entry.advise_payload(tasks, avoid_irq_node, tolerance),
                 TIER_CLASS, entry.staleness(self.clock()),
             )
-        model = self.model(target, mode)
-        advisor = PlacementAdvisor(self.machine, model, tolerance=tolerance)
-        plan = advisor.advise(tasks, avoid_irq_node=avoid_irq_node)
-        return stamp_tier({
-            "degraded": False,
-            "source": "characterization",
-            "machine": self.machine.name,
-            "target": target,
-            "mode": mode,
-            "tasks_per_node": {
-                str(n): c for n, c in sorted(plan.tasks_per_node.items()) if c
-            },
-            "classes_used": list(plan.classes_used),
-            "stream_nodes": plan.stream_nodes(),
-        }, TIER_SOLVE, 0.0)
+        entry = self.recharacterize(target, mode)
+        return _relabel(
+            entry.advise_payload(tasks, avoid_irq_node, tolerance),
+            _SOLVED, TIER_SOLVE, 0.0,
+        )
 
     def _plan_base(self) -> tuple[tuple, float, bool, str]:
         """The weight-independent per-node plan scores for the live machine.
@@ -635,9 +637,10 @@ class AdvisoryBackend:
             self._check_node(node, "stream node")
         self._check_node(target, "target")
         if self.tiers.quarantine_reason(target, mode) is not None:
-            payload = self.repairing_answer(
+            payload = self._last_good_answer(
                 "predict_eq1",
                 {"target": target, "mode": mode, "streams": streams},
+                repairing=True,
             )
             if payload is not None:
                 return payload
@@ -651,36 +654,21 @@ class AdvisoryBackend:
                 return stamp_tier(
                     payload, TIER_ANALYTIC, entry.staleness(self.clock())
                 )
-        model = self.model(target, mode)
-        alpha: dict[int, float] = {}
-        for node in streams:
-            rank = model.class_of(node).rank
-            alpha[rank] = alpha.get(rank, 0.0) + 1.0
-        avgs = {c.rank: c.avg for c in model.classes}
-        total = sum(alpha.values())
-        predicted = sum(
-            (share / total) * avgs[rank] for rank, share in alpha.items()
-        )
-        return stamp_tier({
-            "degraded": False,
-            "source": "characterization",
-            "machine": self.machine.name,
-            "target": target,
-            "mode": mode,
-            "streams": list(streams),
-            "predicted_gbps": wire_gbps(predicted),
-            "class_fractions": {
-                str(rank): wire_gbps(share / total)
-                for rank, share in sorted(alpha.items())
-            },
-        }, TIER_SOLVE, 0.0)
+        entry = self.recharacterize(target, mode)
+        payload = entry.predict_payload(streams)
+        if payload is None:
+            node = next(
+                n for n in streams if entry.snapshot.rank_of(n) is None
+            )
+            raise ModelError(f"node {node} is not in this model")
+        return _relabel(payload, _SOLVED, TIER_SOLVE, 0.0)
 
     def classify(self, target: int, mode: str) -> dict:
         """The class structure for ``(target, mode)``: tier 2, else tier 3."""
         self._check_node(target, "target")
         if self.tiers.quarantine_reason(target, mode) is not None:
-            payload = self.repairing_answer(
-                "classify", {"target": target, "mode": mode}
+            payload = self._last_good_answer(
+                "classify", {"target": target, "mode": mode}, repairing=True
             )
             if payload is not None:
                 return payload
@@ -693,14 +681,8 @@ class AdvisoryBackend:
                 entry.classify_payload(), TIER_CLASS,
                 entry.staleness(self.clock()),
             )
-        model = self.model(target, mode)
-        payload = ClassSnapshot.from_model(model).to_dict()
-        payload["values"] = {
-            str(n): wire_gbps(v) for n, v in sorted(model.values.items())
-        }
-        payload["degraded"] = False
-        payload["source"] = "characterization"
-        return stamp_tier(payload, TIER_SOLVE, 0.0)
+        entry = self.recharacterize(target, mode)
+        return _relabel(entry.classify_payload(), _SOLVED, TIER_SOLVE, 0.0)
 
     # --- degraded answers --------------------------------------------------
     def snapshot(self, target: int, mode: str) -> "ClassSnapshot | None":
@@ -719,7 +701,6 @@ class AdvisoryBackend:
         the breaker is open, the freshest snapshot we ever had *is*
         the answer.
         """
-        now = self.clock()
         if method == "plan":
             cached = self._last_good_plans.get(
                 round(float(params["write_weight"]), 9)
@@ -727,34 +708,25 @@ class AdvisoryBackend:
             if cached is None:
                 return None
             payload, at = cached
-            return stamp_tier(
-                dict(payload, degraded=True,
-                     source="last-good-characterization"),
-                TIER_CLASS, now - at,
-            )
-        return self._last_good_answer(
-            method, params, "last-good-characterization"
-        )
-
-    def repairing_answer(self, method: str, params: dict) -> "dict | None":
-        """The answer for a quarantined ``(target, mode)`` under repair.
-
-        Same last-good store as :meth:`degraded_answer`, but labelled
-        ``repairing: true`` with ``source: "last-good-repairing"`` —
-        the key was pulled from live serving by the self-healing plane
-        (fault blast radius or a drift event) and the supervisor has
-        not yet promoted a fresh characterization back.  Never silently
-        stale: the true staleness and the repair label ride on every
-        response.  Returns ``None`` when no entry covers the request
-        (the caller then falls through to a genuine tier-3 solve).
-        """
-        return self._last_good_answer(
-            method, params, "last-good-repairing", repairing=True
-        )
+            return _relabel(payload, _LAST_GOOD, TIER_CLASS, self.clock() - at)
+        return self._last_good_answer(method, params, repairing=False)
 
     def _last_good_answer(
-        self, method: str, params: dict, source: str, repairing: bool = False
+        self, method: str, params: dict, repairing: bool
     ) -> "dict | None":
+        """A labelled class-level answer from the last-good tier entry.
+
+        ``repairing=False`` is the breaker's degraded answer
+        (``source: "last-good-characterization"``); ``repairing=True``
+        answers a quarantined ``(target, mode)`` under repair — the key
+        was pulled from live serving by the self-healing plane (fault
+        blast radius or a drift event) and the supervisor has not yet
+        promoted a fresh characterization back — labelled
+        ``repairing: true`` with ``source: "last-good-repairing"``.
+        Either way the answer is marked ``degraded: true``, tagged
+        tier 2 with its true staleness: never silently stale.  Returns
+        ``None`` when no entry covers the request.
+        """
         if method not in ("advise", "predict_eq1", "classify"):
             return None
         entry = self.tiers.last_good(params["target"], params["mode"])
@@ -774,11 +746,7 @@ class AdvisoryBackend:
             payload = entry.predict_payload(params["streams"])
             if payload is None:
                 return None
-        # Plain-dict copy: the degraded markers invalidate the entry's
-        # pre-encoded wire form, so this must take the full-encode path.
-        payload = dict(payload)
-        payload["degraded"] = True
-        payload["source"] = source
-        if repairing:
-            payload["repairing"] = True
-        return stamp_tier(payload, TIER_CLASS, entry.staleness(self.clock()))
+        return _relabel(
+            payload, _REPAIRING if repairing else _LAST_GOOD,
+            TIER_CLASS, entry.staleness(self.clock()),
+        )

@@ -192,12 +192,6 @@ class PlacementService:
         if self.live.enabled:
             for name in _HEALING_COUNTERS:
                 self.live.count(name, 0)
-        solver_pool = getattr(backend, "solver_pool", None)
-        if solver_pool is not None:
-            # Graft the fabric pool: utilization gauges read live at
-            # snapshot time, dispatch latency into the plane's hists.
-            self.live.graft_gauges("fabric_pool", solver_pool.stats)
-            solver_pool.live = self.live if self.live.enabled else None
         # (method, tier) -> Hist, prebuilt on first use — an f-string
         # per request is measurable at tier-1 rates.
         self._lat_hists: dict[tuple, object] = {}
@@ -288,9 +282,6 @@ class PlacementService:
                 "store": self.backend.tiers.stats(self.clock()),
             },
         }
-        solver_pool = getattr(self.backend, "solver_pool", None)
-        if solver_pool is not None:
-            payload["solver_pool"] = solver_pool.stats()
         if self.repair is not None:
             payload["repair"] = self.repair.stats()
         return payload
@@ -306,8 +297,8 @@ class PlacementService:
         """The ``metrics`` result: the live plane, JSON-able.
 
         Counters, histogram summaries (per ``(method, tier)`` plus the
-        merged per-method / per-tier views), grafted gauges, breaker
-        and tier accounting, drift-watch state, and flight-recorder
+        merged per-method / per-tier views), breaker and tier
+        accounting, drift-watch state, and flight-recorder
         occupancy — with ``flight=True``, the full flight-recorder
         dump too.  Everything is read on the service clock; the
         payload is a pure function of the request history, which is
@@ -332,7 +323,6 @@ class PlacementService:
             "errors": {k: self.errors[k] for k in sorted(self.errors)},
             "counters": snap["counters"],
             "histograms": snap["histograms"],
-            "gauges": snap["gauges"],
             "flight_recorder": snap["flight_recorder"],
         }
         if self.drift is not None:
@@ -785,12 +775,6 @@ class AsyncPlacementServer:
             )
         except asyncio.TimeoutError:
             _obs.count("service.deadline_cancelled")
-            solver_pool = getattr(self.service.backend, "solver_pool", None)
-            if solver_pool is not None:
-                # The abandoned solve may still be running in a fabric
-                # worker; the future is dropped, the slot stays busy
-                # until that solve finishes, and the pool accounts it.
-                solver_pool.note_abandoned()
             return self._typed_line(
                 line, "deadline_exceeded",
                 f"deadline of {deadline_ms} ms expired mid-solve; "

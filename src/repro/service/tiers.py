@@ -19,13 +19,15 @@ This module is the explicit answer hierarchy:
 * **Tier 2 — class-model tier** (:class:`TierEntry`).  Memoized
   :class:`~repro.service.backend.ClassSnapshot` Eq. 1 mixtures plus the
   exact per-node values and core counts captured at solve time: enough
-  to reproduce ``advise``/``classify`` answers *bit-identically* to the
-  slow path without touching a solver.  This is the breaker's last-good
-  store promoted to a first-class always-warm cache with staleness
-  tracking.
-* **Tier 3 — solver tier**.  The existing full characterization
-  (in-process or ``--solver-pool``), which refreshes tiers 1–2 on every
-  completed solve.
+  to answer ``advise``/``classify`` *bit-identically* to
+  :class:`~repro.core.scheduler_advisor.PlacementAdvisor` and the model
+  without touching a solver.  This is the breaker's last-good store
+  promoted to a first-class always-warm cache with staleness tracking.
+* **Tier 3 — solver tier**.  The full in-process characterization,
+  which refreshes tiers 1–2 on every completed solve.  Its answer is
+  the refreshed entry's own payload relabelled as a solve, so the
+  :class:`TierEntry` builders are the only code that builds
+  ``advise``/``predict_eq1``/``classify`` answers, at every tier.
 
 Every tiered answer is stamped ``{"tier": 1|2|3, "staleness_s": ...}``
 (:func:`stamp_tier`); staleness is measured on the service clock, so
@@ -261,7 +263,7 @@ class TierEntry:
     def advise_payload(
         self, tasks: int, avoid_irq_node: bool, tolerance: float
     ) -> dict:
-        """Class-aware placement, bit-identical to the tier-3 advisor.
+        """Class-aware placement, bit-identical to the solver's advisor.
 
         Reproduces :class:`~repro.core.scheduler_advisor.PlacementAdvisor`
         exactly — equivalence within ``tolerance`` of the best class,

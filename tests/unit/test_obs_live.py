@@ -157,14 +157,9 @@ class TestLivePlane:
         assert merged["service.latency.method.health"].count == 1
         assert list(merged) == sorted(merged)
 
-    def test_snapshot_shape_and_gauges(self):
-        plane = LivePlane()
-        plane.graft_gauges("pool", lambda: {"jobs": 2})
-        snap = plane.snapshot()
-        assert snap["gauges"] == {"pool": {"jobs": 2}}
-        assert set(snap) == {
-            "counters", "histograms", "gauges", "flight_recorder",
-        }
+    def test_snapshot_shape(self):
+        snap = LivePlane().snapshot()
+        assert set(snap) == {"counters", "histograms", "flight_recorder"}
 
     def test_null_plane_is_inert(self):
         plane = NullLivePlane()
@@ -288,7 +283,6 @@ class TestRenderScrape:
                 "p99": 0.001059,
             }
         },
-        "gauges": {"fabric_pool": {"jobs": 2, "arenas": 1}},
         "drift": {"threshold": 0.1, "events": 0, "watched": 2, "last": None},
         "flight_recorder": {
             "spans": 4, "span_capacity": 256, "span_total": 4,
@@ -320,7 +314,6 @@ class TestRenderScrape:
         assert (
             'repro_flight_recorder_occupancy{ring="spans"} 4\n' in text
         )
-        assert "repro_fabric_pool_jobs 2\n" in text
 
     def test_histogram_buckets_cumulative(self):
         payload = dict(self.PAYLOAD)

@@ -46,6 +46,16 @@ class TestLiveAnswers:
         m1 = backend.model(7, "write")
         assert backend.model(7, "write") is m1
 
+    def test_model_cache_hit_draws_nothing(self, host):
+        registry = RngRegistry(3)
+        backend = AdvisoryBackend(host, registry=registry, runs=3)
+        backend.model(7, "write")
+        first = dict(registry.draw_counts)
+        assert first, "a cold build must draw"
+        backend.model(7, "write")
+        assert registry.draw_counts == first
+        assert backend.solves == 1
+
     def test_unknown_target_is_invalid_params(self, backend):
         with pytest.raises(ServiceError) as exc:
             backend.classify(target=99, mode="write")

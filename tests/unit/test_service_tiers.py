@@ -7,7 +7,7 @@ import pytest
 from repro.core.iomodel import IOModelBuilder
 from repro.core.scheduler_advisor import PlacementAdvisor
 from repro.rng import RngRegistry
-from repro.service import AdvisoryBackend, PlacementService
+from repro.service import AdvisoryBackend, ClassSnapshot, PlacementService
 from repro.service.soak import LogicalClock, run_soak
 from repro.service.tiers import (
     TIER_ANALYTIC,
@@ -15,6 +15,7 @@ from repro.service.tiers import (
     TIER_SOLVE,
     AnalyticFit,
     stamp_tier,
+    wire_gbps,
 )
 
 
@@ -95,8 +96,14 @@ class TestTierTwoBitIdentity:
         cold = backend.classify(7, "write")
         warm = backend.classify(7, "write")
         assert cold["tier"] == 3 and warm["tier"] == 2
-        assert warm["classes"] == cold["classes"]
-        assert warm["values"] == cold["values"]
+        model = backend.model(7, "write")
+        expected = ClassSnapshot.from_model(model).to_dict()
+        values = {
+            str(n): wire_gbps(v) for n, v in sorted(model.values.items())
+        }
+        for out in (cold, warm):
+            assert out["classes"] == expected["classes"]
+            assert out["values"] == values
 
 
 class TestTierDispatch:
@@ -144,6 +151,35 @@ class TestTierDispatch:
         assert second["ranking"] == first["ranking"]
         assert other["tier"] == TIER_ANALYTIC
         assert other["write_weight"] == 0.3
+
+    def test_refit_after_restore_resumes_tier_two(self, host):
+        """A key refitted during a fault must not stay on tier 3 after
+        the healthy machine returns: the cached healthy model is refit
+        into the tier store, not re-solved."""
+        from repro.faults.events import LinkDegrade
+        from repro.faults.plan import FaultedMachine
+
+        backend = AdvisoryBackend(
+            host, registry=RngRegistry(), runs=3, clock=LogicalClock()
+        )
+        backend.warm((7,))
+        cables = sorted(
+            {tuple(sorted(ends)) for ends in host.links if 7 in ends}
+        )
+        faults = [LinkDegrade(src, dst, 0.4)
+                  for a, b in cables for src, dst in ((a, b), (b, a))]
+        backend.set_machine(FaultedMachine(host, faults))
+        assert backend.classify(7, "write")["tier"] == TIER_SOLVE
+        solves = backend.solves
+        backend.restore_machine()
+        first = backend.classify(7, "write")
+        second = backend.classify(7, "write")
+        assert first["tier"] == TIER_SOLVE
+        assert first["source"] == "characterization"
+        assert second["tier"] == TIER_CLASS
+        assert second["source"] == "class-model"
+        assert second["classes"] == first["classes"]
+        assert backend.solves == solves  # a cache hit refits, never re-solves
 
     def test_degraded_answers_are_tier_two_with_true_staleness(self, backend):
         backend.warm((7,))

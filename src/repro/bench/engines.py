@@ -88,22 +88,36 @@ def device_service_levels(
     return levels
 
 
+def _copy_resources(machine: Machine, src: int, dst: int) -> tuple[str, ...]:
+    """The resources every thread of one bulk copy src -> dst crosses.
+
+    The source controller, the sink controller unless the copy is
+    node-local, and each link of the DMA-plane route.  The route is
+    resolved once: ``machine.path()`` would resolve it twice and wrap it
+    in a ``Path`` only to read its links.
+    """
+    resources = [MemoryController(src, 0, 0).dma_resource]
+    if src != dst:
+        resources.append(MemoryController(dst, 0, 0).dma_resource)
+        for link in machine.routing.route_links(PLANE_DMA, src, dst):
+            resources.append(link_resource(*link.ends))
+    return tuple(resources)
+
+
 def _bulk_copy_flows(machine: Machine, src: int, dst: int, threads: int) -> list[Flow]:
-    """The per-thread DMA-context flow list of one bulk copy src -> dst."""
+    """The per-thread DMA-context flow list of one bulk copy src -> dst.
+
+    The max-min reference the closed form of :func:`bulk_copy_gbps_many`
+    is tested against: ``sum(session.rates(flows).values())`` is the
+    copy's aggregate bandwidth.
+    """
     if threads < 1:
         raise BenchmarkError(f"need >= 1 copy thread, got {threads}")
-    src_ctrl = MemoryController(src, 0, 0).dma_resource
-    dst_ctrl = MemoryController(dst, 0, 0).dma_resource
-    resources = [src_ctrl]
-    if dst_ctrl != src_ctrl:
-        resources.append(dst_ctrl)
-    if src != dst:
-        for link in machine.path(PLANE_DMA, src, dst).links:
-            resources.append(link_resource(*link.ends))
+    resources = _copy_resources(machine, src, dst)
     return [
         Flow(
             name=f"copy/t{i}",
-            resources=tuple(resources),
+            resources=resources,
             demand_gbps=machine.params.dma_per_thread_gbps,
         )
         for i in range(threads)
@@ -122,13 +136,11 @@ def bulk_copy_gbps(
     The deterministic core of :class:`MemcpyEngine`: per-thread DMA-style
     contexts contending on both controllers and every link of the
     DMA-plane route.  Algorithm 1 samples this with noise; tests and the
-    analytic layers use it directly.  Capacity maps and allocations go
+    analytic layers use it directly.  Capacity maps and shares go
     through the machine's :class:`~repro.solver.session.SolverSession`
     (pass ``session`` to share one across a characterization run).
     """
-    session = session if session is not None else get_session(machine)
-    rates = session.rates(_bulk_copy_flows(machine, src, dst, threads))
-    return sum(rates.values())
+    return bulk_copy_gbps_many(machine, ((src, dst),), threads, session)[0]
 
 
 def bulk_copy_gbps_many(
@@ -139,14 +151,28 @@ def bulk_copy_gbps_many(
 ) -> list[float]:
     """:func:`bulk_copy_gbps` for many ``(src, dst)`` pairs in one batch.
 
-    All capacity queries go through the session's
-    :meth:`~repro.solver.session.SolverSession.rates_many`, so a dense
-    Algorithm 1 sweep pays one stats phase and one capacity lookup for
-    the whole node loop.  Values are identical to per-pair calls.
+    A copy's threads are one signature group, so each distinct pair is
+    routed once and solved once, in closed form, by the session's
+    :meth:`~repro.solver.session.SolverSession.equal_shares` under one
+    stats phase; repeated pairs reuse that total.  A total adds the
+    per-thread share ``threads`` times, as ``sum(rates.values())`` does
+    over the copy's flow list, so values equal max-min over that list.
+    Every pair is routed before any is solved, as building all the flow
+    lists first would.
     """
+    if threads < 1:
+        raise BenchmarkError(f"need >= 1 copy thread, got {threads}")
     session = session if session is not None else get_session(machine)
-    problems = [_bulk_copy_flows(machine, src, dst, threads) for src, dst in pairs]
-    return [sum(rates.values()) for rates in session.rates_many(problems)]
+    keys = [(src, dst) for src, dst in pairs]
+    distinct = list(dict.fromkeys(keys))
+    demand = machine.params.dma_per_thread_gbps
+    problems = [(_copy_resources(machine, src, dst), demand, threads)
+                for src, dst in distinct]
+    totals = {
+        pair: sum([share] * threads)
+        for pair, share in zip(distinct, session.equal_shares(problems))
+    }
+    return [totals[pair] for pair in keys]
 
 
 @dataclass(frozen=True)
@@ -343,20 +369,12 @@ class MemcpyEngine:
         machine = self.machine
         noise = NoiseModel(rng)
 
-        src_ctrl = MemoryController(src, 0, 0).dma_resource
-        dst_ctrl = MemoryController(dst, 0, 0).dma_resource
-        resources = [src_ctrl]
-        if dst_ctrl != src_ctrl:
-            resources.append(dst_ctrl)
-        if src != dst:
-            for link in machine.path(PLANE_DMA, src, dst).links:
-                resources.append(link_resource(*link.ends))
-
+        resources = _copy_resources(machine, src, dst)
         per_thread_noise = noise.factors(self.sigma, job.numjobs)
         flows = [
             Flow(
                 name=f"{job.name}/t{i}",
-                resources=tuple(resources),
+                resources=resources,
                 demand_gbps=machine.params.dma_per_thread_gbps
                 * float(per_thread_noise[i]),
                 size_bytes=float(job.size_bytes),

@@ -22,6 +22,7 @@ capacities.
 from __future__ import annotations
 
 import atexit
+import math
 from collections import OrderedDict
 from typing import Iterable, Mapping
 
@@ -102,21 +103,31 @@ class SolverSession:
         with self.stats.phase("allocate"):
             return self._alloc.rates(flows, caps)
 
-    def rates_many(
+    def equal_shares(
         self,
-        problems: Iterable[Iterable],
+        problems: Iterable[tuple[Iterable[str], float, int]],
         capacities: Mapping[str, float] | None = None,
-    ) -> list[dict[str, float]]:
-        """Max-min rates for several flow lists under one ``allocate`` phase.
+    ) -> list[float]:
+        """Per-flow rates of single-signature problems, in closed form.
 
-        The batched entry point for characterization sweeps: one stats
-        phase and one capacity lookup cover the whole batch, and every
-        problem still lands in (and reuses) the shared allocation cache.
-        Results are returned in problem order.
+        Each problem is ``(resources, demand_gbps, count)``: ``count``
+        weight-1 flows that all cross ``resources`` and each want at
+        most ``demand_gbps`` (the m copy threads of one Algorithm 1
+        probe).  Such a problem is one signature group, so water-filling
+        settles it in one round at ``min(demand, min_r cap_r / count)``
+        — the float :meth:`rates` returns for every flow of the
+        equivalent flow list, computed here without flows or the
+        allocation cache.  The whole batch is one ``allocate`` phase and
+        each problem counts one cold solve.  Results are in problem
+        order.
         """
         caps = capacities if capacities is not None else self._fabric_capacities()
+        shares = []
         with self.stats.phase("allocate"):
-            return [self._alloc.rates(flows, caps) for flows in problems]
+            for resources, demand_gbps, count in problems:
+                shares.append(_equal_share(tuple(resources), demand_gbps, count, caps))
+                self.stats.solves += 1
+        return shares
 
     def network(self, capacities: Mapping[str, float] | None = None) -> FlowNetwork:
         """A :class:`FlowNetwork` sharing this session's cache and stats."""
@@ -205,6 +216,44 @@ class SolverSession:
             f"SolverSession({name!r}, solves={self.stats.solves}, "
             f"hit_rate={self.stats.hit_rate:.1%})"
         )
+
+
+def _equal_share(
+    resources: tuple[str, ...],
+    demand_gbps: float,
+    count: int,
+    capacities: Mapping[str, float],
+) -> float:
+    """The rate water-filling gives each of ``count`` identical flows.
+
+    The one-group case of the allocation cache's cold solve: every
+    flow loads each of its resources equally, so the first round raises
+    them all by ``min_r cap_r / count`` or to their demand, whichever is
+    lower, and freezes the group.  Validates what
+    :class:`~repro.flows.flow.Flow` and
+    :meth:`~repro.solver.incremental.AllocationCache.rates` validate, in
+    the same order.
+    """
+    if count < 1:
+        raise SimulationError(f"need >= 1 flow per problem, got {count}")
+    if demand_gbps <= 0:
+        raise SimulationError("flow demand must be positive")
+    if len(set(resources)) != len(resources):
+        raise SimulationError(f"resources {resources} list a resource twice")
+    for r in resources:
+        if r not in capacities:
+            raise SimulationError(f"unknown resource {r!r}")
+    for r in sorted(resources):
+        if capacities[r] <= 0:
+            raise SimulationError(f"resource {r!r} has non-positive capacity")
+    if not resources and math.isinf(demand_gbps):
+        raise SimulationError(
+            "unbounded allocation: elastic flow(s) traverse no resources"
+        )
+    share = float(demand_gbps)
+    for r in resources:
+        share = min(share, float(capacities[r]) / count)
+    return share
 
 
 def get_session(machine) -> SolverSession:

@@ -12,8 +12,10 @@ fast deterministic slice of it that runs under pytest.
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -28,19 +30,61 @@ ARGS = [
 ]
 
 
+def _group_members(pgid):
+    """Live (non-zombie) processes whose process group is ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:  # exited while we looked
+            continue
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            members.append(int(entry))
+    return members
+
+
+def _reap_group(pgid, timeout_s=10.0):
+    """SIGKILL what is left of a crashed run's process group.
+
+    A SIGKILLed parent leaves its pool workers and resource tracker
+    behind; they share the group the crash run was started in.
+    """
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        return []
+    deadline = time.monotonic() + timeout_s
+    while (members := _group_members(pgid)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return members
+
+
 def _run(extra, env=None, expect_kill=False):
     base = {k: v for k, v in os.environ.items() if k != CRASH_ENV}
     base.update(env or {})
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli.main"] + ARGS + extra,
         # A SIGKILLed parent leaves pool workers holding the stdout
         # pipe, so capturing a crash run's output could block on EOF.
         stdout=subprocess.DEVNULL if expect_kill else subprocess.PIPE,
         stderr=subprocess.DEVNULL if expect_kill else subprocess.PIPE,
         env=base,
-        timeout=120,
+        # A crash run gets its own session, so its orphans can be reaped
+        # as one process group (whose id is the child's pid).
+        start_new_session=expect_kill,
     )
-    return proc
+    try:
+        stdout, stderr = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        survivors = _reap_group(proc.pid) if expect_kill else []
+    assert survivors == []
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 def _live_segments():

@@ -15,6 +15,7 @@ from repro.bench.jobfile import FioJob
 from repro.errors import BenchmarkError
 from repro.memory.allocator import PageAllocator
 from repro.rng import RngRegistry
+from repro.topology.modify import with_dram_gbps
 
 
 def _rng(name="engine-test"):
@@ -27,6 +28,13 @@ class TestBulkCopy:
 
     def test_remote_copy_bound_by_link(self, host):
         assert bulk_copy_gbps(host, 0, 7, threads=4) == pytest.approx(44.5, abs=0.1)
+
+    @pytest.mark.parametrize("slow", [0, 7])
+    def test_remote_copy_bound_by_either_controller(self, host, slow):
+        # A copy crosses the source and the sink controller alike.
+        machine = with_dram_gbps(host, slow, 9.0)
+        assert bulk_copy_gbps(machine, 0, 7, threads=4) == pytest.approx(9.0)
+        assert bulk_copy_gbps(machine, 7, 0, threads=4) == pytest.approx(9.0)
 
     def test_single_thread_capped(self, host):
         assert bulk_copy_gbps(host, 0, 7, threads=1) == pytest.approx(

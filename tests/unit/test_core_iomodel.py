@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.iomodel import IOModelBuilder
-from repro.errors import ModelError
+from repro.errors import AllocationError, ModelError
+from repro.osmodel import libnuma
+from repro.topology.serialize import machine_from_dict, machine_to_dict
 
 
 class TestBuilder:
@@ -59,6 +61,55 @@ class TestBuilder:
     def test_build_many_unknown_target_rejected(self, host):
         with pytest.raises(ModelError):
             IOModelBuilder(host).build_many((7, 42), "write")
+
+
+class TestAllocationFailure:
+    @staticmethod
+    def _with_free_bytes(machine, node, free_bytes):
+        data = machine_to_dict(machine)
+        for entry in data["nodes"]:
+            if entry["node_id"] == node:
+                entry["os_resident_bytes"] = entry["memory_bytes"] - free_bytes
+        return machine_from_dict(data)
+
+    @pytest.mark.parametrize("mode", ["write", "read"])
+    @pytest.mark.parametrize("free_probes", [0.75, 1.5])
+    def test_build_many_fails_like_measure_pair(
+        self, bare_host, monkeypatch, mode, free_probes
+    ):
+        # Node 3 lacks one probe's buffers (0.75) or holds one but not a
+        # local probe's two (1.5); a probe that kept what it took would
+        # make a later one fail early.
+        probe = IOModelBuilder(bare_host)
+        need = probe.threads_per_node() * probe.buffer_bytes
+        machine = self._with_free_bytes(bare_host, 3, int(free_probes * need))
+        targets = (0, 3, 7)
+        calls = []
+        alloc = libnuma.numa_alloc_onnode
+
+        def logged(allocator, size_bytes, node):
+            calls.append((size_bytes, node))
+            return alloc(allocator, size_bytes, node)
+
+        monkeypatch.setattr(libnuma, "numa_alloc_onnode", logged)
+
+        def sweep():
+            IOModelBuilder(machine, runs=2).build_many(targets, mode)
+
+        def loop():
+            builder = IOModelBuilder(machine, runs=2)
+            for target in targets:
+                for i in machine.node_ids:
+                    builder.measure_pair(i, target, mode)
+
+        failures = []
+        for run in (sweep, loop):
+            calls.clear()
+            with pytest.raises(AllocationError) as info:
+                run()
+            failures.append((str(info.value), list(calls)))
+        assert failures[0] == failures[1]
+        assert calls[-1] == (need, 3)
 
 
 class TestModels:

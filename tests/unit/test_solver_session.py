@@ -143,23 +143,6 @@ class TestAllocationMemoization:
         assert session.stats.solves == 1
         assert session.stats.cache_hits == 1
 
-    def test_rates_many_matches_sequential_rates(self, bare_host):
-        session = SolverSession(bare_host)
-        problems = [
-            [Flow(name=f"f{i}", resources=(f"ctrl-dma:{i}",), demand_gbps=4.0 + i)]
-            for i in range(4)
-        ]
-        batched = session.rates_many(problems)
-        reference = SolverSession(bare_host)
-        assert batched == [reference.rates(flows) for flows in problems]
-
-    def test_rates_many_shares_the_allocation_cache(self, bare_host):
-        session = SolverSession(bare_host)
-        flows = [Flow(name="a", resources=("ctrl-dma:0",), demand_gbps=5.0)]
-        session.rates_many([flows, flows, flows])
-        assert session.stats.solves == 1
-        assert session.stats.cache_hits == 2
-
     def test_path_lookups_memoized(self, bare_host):
         session = SolverSession(bare_host)
         for _ in range(3):
@@ -168,6 +151,79 @@ class TestAllocationMemoization:
             )
         assert session.stats.path_misses == 1
         assert session.stats.path_hits == 2
+
+
+class TestEqualShares:
+    """The closed-form single-signature entry point against ``rates``."""
+
+    PROBLEMS = [
+        (("ctrl-dma:0",), 5.0, 1),
+        (("ctrl-dma:0",), 5.0, 16),
+        (("ctrl-dma:0", "ctrl-dma:4", "link-dma:0>1", "link-dma:1>4"), 11.5, 4),
+        (("ctrl-dma:7", "ctrl-dma:2", "link-dma:7>2"), 2.3, 3),
+        (("ctrl-dma:1", "ctrl-dma:5"), float("inf"), 7),
+        (("link-dma:2>7",), 0.1, 9),
+    ]
+
+    @staticmethod
+    def _flows(resources, demand, count):
+        return [
+            Flow(name=f"t{i}", resources=resources, demand_gbps=demand)
+            for i in range(count)
+        ]
+
+    def test_each_share_equals_rates_on_the_same_flow_list(self, bare_host):
+        shares = SolverSession(bare_host).equal_shares(self.PROBLEMS)
+        for share, problem in zip(shares, self.PROBLEMS):
+            rates = SolverSession(bare_host).rates(self._flows(*problem))
+            assert {r.hex() for r in rates.values()} == {share.hex()}, problem
+
+    def test_each_problem_is_one_solve_outside_the_cache(self, bare_host):
+        session = SolverSession(bare_host)
+        problem = self.PROBLEMS[2]
+        session.equal_shares([problem, problem, problem])
+        assert session.stats.solves == 3
+        assert session.stats.cache_hits == 0
+        assert session.stats.cache_misses == 0
+
+    def test_a_batch_is_one_allocate_phase(self, bare_host):
+        from repro.obs import MetricsRegistry, TraceRecorder
+        from repro.obs import recorder as obs
+
+        session = SolverSession(bare_host)
+        recorder = TraceRecorder(MetricsRegistry())
+        obs.install(recorder)
+        try:
+            session.equal_shares(self.PROBLEMS)
+        finally:
+            obs.uninstall()
+        assert recorder.phase_totals()["solver.allocate"]["count"] == 1
+        assert list(session.stats.phase_wall_s) == ["capacity", "allocate"]
+
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            ((("ctrl-dma:0", "nowhere"), 5.0, 2), "unknown resource 'nowhere'"),
+            ((("ctrl-dma:0",), 0.0, 2), "demand must be positive"),
+            ((("ctrl-dma:0",), -1.0, 2), "demand must be positive"),
+            ((("ctrl-dma:0",), 5.0, 0), "need >= 1 flow"),
+            ((("ctrl-dma:0", "ctrl-dma:0"), 5.0, 2), "twice"),
+            (((), float("inf"), 2), "unbounded allocation"),
+        ],
+    )
+    def test_bad_problems_raise_typed_errors(self, bare_host, problem, message):
+        session = SolverSession(bare_host)
+        with pytest.raises(SimulationError, match=message):
+            session.equal_shares([self.PROBLEMS[0], problem])
+
+    def test_non_positive_capacity_raises_like_rates(self, bare_host):
+        caps = {"a": 4.0, "b": 0.0, "c": -1.0}
+        flows = self._flows(("c", "a", "b"), 5.0, 2)
+        with pytest.raises(SimulationError) as expected:
+            SolverSession().rates(flows, caps)
+        with pytest.raises(SimulationError) as got:
+            SolverSession().equal_shares([(("c", "a", "b"), 5.0, 2)], caps)
+        assert str(got.value) == str(expected.value)
 
 
 class TestStatsOnResults:

@@ -18,6 +18,7 @@ from repro.flows.maxmin import maxmin_allocate
 from repro.flows.network import FlowNetwork
 from repro.rng import RngRegistry
 from repro.routing.table import RoutingTable
+from repro.solver.incremental import AllocationCache
 from repro.topology.builders import hp_blade_32n, reference_host, scaled_host
 from repro.units import GB
 
@@ -57,6 +58,28 @@ def test_perf_flow_simulation_50_staggered(benchmark):
     network = FlowNetwork({"dev": 22.0})
     outcomes = benchmark(network.simulate, flows)
     assert len(outcomes) == 50
+
+
+def test_perf_cold_solve_device_streams(benchmark):
+    """Cold max-min solves: 16 streams with distinct demands on one device.
+
+    The fio event-loop shape.  Demands straddle the fair share, so the
+    streams finish in waves and every wave re-solves the allocation; a
+    fresh cache per round keeps each solve cold (the staggered bench
+    above keeps one cache across rounds and so measures hits).
+    """
+    flows = [
+        Flow(name=f"s{i}", resources=("dev",), demand_gbps=0.5 + 0.25 * i,
+             size_bytes=float(GB))
+        for i in range(16)
+    ]
+
+    def simulate():
+        network = FlowNetwork({"dev": 22.0}, allocator=AllocationCache())
+        return network.simulate(flows)
+
+    outcomes = benchmark(simulate)
+    assert len(outcomes) == 16
 
 
 def test_perf_routing_all_pairs_32_nodes(benchmark, blade):

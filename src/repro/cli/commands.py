@@ -845,8 +845,10 @@ def cmd_recover(args: argparse.Namespace) -> int:
     * the ``--obs-dir`` manifests are deterministic twins,
     * zero ``repro_fab_*`` segments are left in ``/dev/shm``,
 
-    all without any manual journal cleanup.  Exit 0 only when every
-    trial holds every invariant.
+    all without any manual journal cleanup.  Each crash run starts in a
+    session of its own; once it has exited, its process group is
+    SIGKILLed, and a member still alive 10 s later fails the trial.
+    Exit 0 only when every trial holds every invariant.
     """
     import os
     import pathlib
@@ -857,6 +859,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
     from repro.experiments import EXPERIMENTS
     from repro.fabric.arena import live_segments
+    from repro.faults.execution import reap_process_group
     from repro.journal import CRASH_ENV, JOURNAL_FILENAME, scan_journal
     from repro.obs import diff_manifests, load_manifest
 
@@ -916,16 +919,29 @@ def cmd_recover(args: argparse.Namespace) -> int:
                                             "--obs-dir", str(obs_dir)]
                 env = dict(clean_env)
                 env[CRASH_ENV] = f"{point}:torn" if torn else str(point)
-                # The SIGKILLed parent's pool workers inherit our pipes;
-                # use DEVNULL so their lingering exits can't stall us.
-                crash = subprocess.run(
+                # The SIGKILLed run's pool workers and resource tracker
+                # outlive it in its process group: a session of its own
+                # keeps that group apart from ours so it can be reaped
+                # whole, and DEVNULL keeps them off our pipes.
+                with subprocess.Popen(
                     trial_argv, env=env,
                     stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                )
+                    start_new_session=True,
+                ) as crash:
+                    try:
+                        crash.wait()
+                    finally:
+                        survivors = reap_process_group(crash.pid)
                 tag = (
                     f"{name} trial {trial} (crash after record {point}"
                     f"{', torn' if torn else ''})"
                 )
+                if survivors:
+                    failures.append(
+                        f"{tag}: crash run left live process(es) "
+                        f"{survivors} after SIGKILL of its group"
+                    )
+                    continue
                 if crash.returncode == 0:
                     failures.append(
                         f"{tag}: crash run exited 0 — injection never fired"

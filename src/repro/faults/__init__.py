@@ -38,6 +38,7 @@ from repro.faults.execution import (
     ExecutionFault,
     TornWrite,
     WorkerStall,
+    reap_process_group,
 )
 from repro.faults.events import (
     Fault,
@@ -65,6 +66,7 @@ __all__ = [
     "TornWrite",
     "WorkerStall",
     "STALL_ENV",
+    "reap_process_group",
     "FaultPlan",
     "FaultedMachine",
     "RetryPolicy",

@@ -21,17 +21,31 @@ environment pair that arms it:
 * :class:`WorkerStall` — a fabric pool worker sleeps before its first
   task, modelling a wedged worker that the pool's lost-shard retry and
   the journal's unit granularity must absorb.
+
+A run killed at a crash point cannot shut its fabric pool down, so its
+workers and their resource tracker outlive it;
+:func:`reap_process_group` cleans them up after the drill.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import time
 from dataclasses import dataclass
 
 from repro.errors import FaultError
 from repro.faults.events import Fault
 from repro.journal.store import CRASH_ENV
 
-__all__ = ["ExecutionFault", "CrashPoint", "TornWrite", "WorkerStall", "STALL_ENV"]
+__all__ = [
+    "ExecutionFault",
+    "CrashPoint",
+    "TornWrite",
+    "WorkerStall",
+    "STALL_ENV",
+    "reap_process_group",
+]
 
 #: Environment variable armed by :class:`WorkerStall`; read by
 #: ``repro.fabric.pool`` workers (kept as a literal there so importing
@@ -130,3 +144,42 @@ class WorkerStall(ExecutionFault):
 
     def describe(self) -> str:
         return f"stall:{self.seconds:g}s"
+
+
+def _group_members(pgid: int) -> list[int]:
+    """Live (non-zombie) processes whose process group is ``pgid``."""
+    try:
+        entries = os.listdir("/proc")
+    except OSError:  # pragma: no cover - no procfs to confirm the SIGKILL
+        return []
+    members = []
+    for entry in entries:
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:  # exited while we looked
+            continue
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            members.append(int(entry))
+    return members
+
+
+def reap_process_group(pgid: int, timeout_s: float = 10.0) -> list[int]:
+    """SIGKILL process group ``pgid`` and wait until no member is alive.
+
+    Start a crash run with ``start_new_session=True`` so its process
+    group (whose id is the run's pid) holds the pool workers and
+    resource tracker it leaves behind, then call this once the run has
+    exited.  Returns the pids still alive after ``timeout_s`` seconds:
+    empty when the group is gone.  Zombies count as gone.
+    """
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        return []
+    deadline = time.monotonic() + timeout_s
+    while (members := _group_members(pgid)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return members

@@ -11,8 +11,10 @@ once for everyone:
 * an **incremental max-min solver**
   (:class:`~repro.solver.incremental.AllocationCache`) that memoizes
   allocations by the active-flow *multiset* and solves cold cases with a
-  vectorized numpy water-filling loop over signature groups, plus a
-  closed form for problems that are one group of identical flows
+  scalar water-filling loop over signature groups (bit-identical to an
+  array formulation on weight-1 problems, within 1e-9 of
+  :func:`~repro.flows.maxmin.maxmin_allocate` on any), plus a closed
+  form for problems that are one group of identical flows
   (:meth:`~repro.solver.session.SolverSession.equal_shares`);
 * a **stats surface** (:class:`~repro.solver.stats.SolverStats`)
   counting solves, cache hits/misses, simulation events and per-phase

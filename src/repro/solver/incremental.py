@@ -1,4 +1,4 @@
-"""Memoized, vectorized max-min allocation.
+"""Memoized max-min allocation over signature groups.
 
 Two observations make the simulation hot path cheap:
 
@@ -6,19 +6,24 @@ Two observations make the simulation hot path cheap:
    treats two flows identically when they share (resource set, demand,
    weight); only the multiset of signatures matters.  Cold solves
    therefore run over *signature groups* — 16 identical copy threads are
-   one group — with a vectorized numpy water-filling loop.
+   one group — with a scalar water-filling loop.  The problems posed are
+   small (a device shared by 1–16 streams), where plain float arithmetic
+   is several times cheaper than array dispatch.
 2. **Active sets recur.**  A piecewise-constant simulation revisits the
    same active multiset over and over (staggered identical flows cycle
    through the same population counts), and characterization sweeps
    re-pose the same allocation problem per sample.  Results are memoized
    by (signature multiset, used-capacity items) in an LRU map.
 
-The semantics are *identical* to :func:`repro.flows.maxmin.maxmin_allocate`
-(the property suite asserts agreement within 1e-9); this module only
-changes the cost of getting the answer.
+The semantics are those of :func:`repro.flows.maxmin.maxmin_allocate`:
+the property suite asserts agreement within 1e-9 on any problem, and
+bit-identity with an array (numpy) formulation of the same rounds on
+weight-1 problems — every flow the library builds has weight 1.0 — where
+per-resource loads are exact integer sums.
 
-Imports are deliberately minimal (numpy + the error hierarchy) so
-:mod:`repro.flows.network` can depend on this module without cycles.
+Imports are deliberately minimal (the standard library + the error
+hierarchy) so :mod:`repro.flows.network` can depend on this module
+without cycles.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from repro.errors import SimulationError
 
@@ -146,60 +149,71 @@ class AllocationCache:
 def _solve_groups(
     signatures: list[tuple], capacities: dict[str, float]
 ) -> dict[tuple, float]:
-    """Cold solve: vectorized progressive filling over signature groups.
+    """Cold solve: scalar progressive filling over signature groups.
 
     Returns the *per-flow* rate of each signature.  A group of ``m``
     identical flows behaves exactly like one super-flow of ``m`` times
     the weight and demand whose rate is split evenly — the members raise
     together and freeze together.
+
+    Each round sums the active groups' ``count * weight`` onto their
+    resources, raises every active group by the largest increment no
+    resource or demand forbids, and freezes the groups that reached
+    their demand or cross a saturated resource.  On weight-1 problems
+    the loads are exact integers, so the rates are bit-identical to an
+    array formulation of the same rounds whatever its summation order;
+    with fractional weights they may differ in the last bits and stay
+    within 1e-9 of ``maxmin_allocate``.
     """
-    groups: OrderedDict[tuple, int] = OrderedDict()
+    counts: dict[tuple, int] = {}
     for sig in signatures:
-        groups[sig] = groups.get(sig, 0) + 1
-    sigs = list(groups)
-    counts = np.array([groups[s] for s in sigs], dtype=float)
-    weights = np.array([s[2] for s in sigs], dtype=float)  # per-flow weight
-    demands = np.array([s[1] for s in sigs], dtype=float)  # per-flow demand
-    group_weight = counts * weights
+        counts[sig] = counts.get(sig, 0) + 1
+    sigs = list(counts)
+    index = {r: i for i, r in enumerate(capacities)}
+    members = [[index[r] for r in sig[0]] for sig in sigs]
+    demands = [sig[1] for sig in sigs]  # per-flow demand
+    weights = [sig[2] for sig in sigs]  # per-flow weight
+    group_weight = [counts[sig] * sig[2] for sig in sigs]
+    # A group reaches its demand once its rate is within _EPS of it.
+    targets = [demand - _EPS for demand in demands]
+    remaining = list(capacities.values())
+    floors = [_EPS * cap + _EPS for cap in remaining]
+    n_resources = len(remaining)
+    rates = [0.0] * len(sigs)  # per-flow rate within each group
+    active = list(range(len(sigs)))
 
-    resource_names = list(capacities)
-    index = {r: i for i, r in enumerate(resource_names)}
-    incidence = np.zeros((len(resource_names), len(sigs)))
-    for g, sig in enumerate(sigs):
-        for r in sig[0]:
-            incidence[index[r], g] = 1.0
-
-    caps = np.array([capacities[r] for r in resource_names], dtype=float)
-    remaining = caps.copy()
-    rates = np.zeros(len(sigs))  # per-flow rate within each group
-    active = np.ones(len(sigs), dtype=bool)
-
-    while active.any():
-        load = incidence[:, active] @ group_weight[active]
-        increment = np.inf
-        loaded = load > 0.0
-        if loaded.any():
-            increment = float((remaining[loaded] / load[loaded]).min())
-        with np.errstate(invalid="ignore"):
-            headroom = (demands[active] - rates[active]) / weights[active]
-        if headroom.size:
-            increment = min(increment, float(headroom.min()))
+    while active:
+        load = [0.0] * n_resources
+        for g in active:
+            weight = group_weight[g]
+            for r in members[g]:
+                load[r] += weight
+        loaded = [r for r in range(n_resources) if load[r] > 0.0]
+        increment = min(
+            [remaining[r] / load[r] for r in loaded]
+            + [(demands[g] - rates[g]) / weights[g] for g in active]
+        )
         if math.isinf(increment):  # pragma: no cover - pre-validated in rates()
             raise SimulationError(
                 "unbounded allocation: elastic flow(s) traverse no resources"
             )
         increment = max(increment, 0.0)
 
-        rates[active] += increment * weights[active]
-        remaining -= increment * load
-
-        saturated = remaining <= _EPS * caps + _EPS
-        touches_saturated = incidence[saturated].sum(axis=0) > 0.0
-        newly_frozen = active & (
-            (rates >= demands - _EPS) | touches_saturated
-        )
-        if not newly_frozen.any():  # pragma: no cover - numeric safety valve
+        for g in active:
+            rates[g] += increment * weights[g]
+        # Only loaded resources can saturate this round, and a resource
+        # saturated in an earlier round has no active group left on it.
+        saturated = set()
+        for r in loaded:
+            remaining[r] -= increment * load[r]
+            if remaining[r] <= floors[r]:
+                saturated.add(r)
+        still_active = [
+            g for g in active
+            if rates[g] < targets[g] and saturated.isdisjoint(members[g])
+        ]
+        if len(still_active) == len(active):  # pragma: no cover - numeric safety valve
             raise SimulationError("progressive filling made no progress")
-        active &= ~newly_frozen
+        active = still_active
 
-    return {sig: float(rates[g]) for g, sig in enumerate(sigs)}
+    return dict(zip(sigs, rates))

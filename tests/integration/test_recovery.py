@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.faults.execution import reap_process_group
 from repro.journal import CRASH_ENV, JOURNAL_FILENAME, scan_journal
 
 pytestmark = [pytest.mark.recovery, pytest.mark.fabric]
@@ -28,38 +29,6 @@ ARGS = [
     "iomodel", "--targets", "0,1,2", "--mode", "write",
     "--runs", "2", "--jobs", "2",
 ]
-
-
-def _group_members(pgid):
-    """Live (non-zombie) processes whose process group is ``pgid``."""
-    members = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat", encoding="ascii") as stat:
-                fields = stat.read().rsplit(")", 1)[1].split()
-        except OSError:  # exited while we looked
-            continue
-        if fields[0] != "Z" and int(fields[2]) == pgid:
-            members.append(int(entry))
-    return members
-
-
-def _reap_group(pgid, timeout_s=10.0):
-    """SIGKILL what is left of a crashed run's process group.
-
-    A SIGKILLed parent leaves its pool workers and resource tracker
-    behind; they share the group the crash run was started in.
-    """
-    try:
-        os.killpg(pgid, signal.SIGKILL)
-    except ProcessLookupError:
-        return []
-    deadline = time.monotonic() + timeout_s
-    while (members := _group_members(pgid)) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    return members
 
 
 def _run(extra, env=None, expect_kill=False):
@@ -82,7 +51,7 @@ def _run(extra, env=None, expect_kill=False):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-        survivors = _reap_group(proc.pid) if expect_kill else []
+        survivors = reap_process_group(proc.pid) if expect_kill else []
     assert survivors == []
     return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
@@ -136,3 +105,61 @@ def test_resume_of_complete_run_recomputes_nothing(tmp_path):
     records, _, torn = scan_journal(run_dir / JOURNAL_FILENAME)
     assert not torn and len(records) == 4
     assert _live_segments() == []
+
+
+def _tagged_processes(name, value):
+    """Live (non-zombie) processes whose environment holds ``name=value``.
+
+    Children inherit the environment, so a variable set on one process
+    marks every process it starts, whatever session or group they move to.
+    """
+    needle = f"{name}={value}".encode()
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/environ", "rb") as environ:
+                variables = environ.read().split(b"\0")
+            with open(f"/proc/{entry}/stat", encoding="ascii") as stat:
+                state = stat.read().rsplit(")", 1)[1].split()[0]
+        except OSError:  # exited while we looked, or not ours to read
+            continue
+        if state != "Z" and needle in variables:
+            pids.append(int(entry))
+    return pids
+
+
+def test_recover_soak_leaves_no_process_behind():
+    """Every process the soak starts is gone once it reports.
+
+    Each crash trial SIGKILLs a ``--jobs 2`` run, whose pool workers and
+    resource tracker would otherwise outlive the soak, reparented to init.
+    """
+    tag_name = "REPRO_TEST_SOAK_TAG"
+    tag = f"{os.getpid()}-{time.monotonic_ns()}"
+    env = {k: v for k, v in os.environ.items() if k != CRASH_ENV}
+    env[tag_name] = tag
+    try:
+        soak = subprocess.run(
+            [sys.executable, "-m", "repro.cli.main", "--seed", "123",
+             "recover", "--workload", "iomodel", "--trials", "1",
+             "--runs", "2", "--jobs", "2"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert soak.returncode == 0, soak.stdout.decode()
+        assert "recovery soak passed" in soak.stdout.decode()
+        # Normal exits are asynchronous (a resource tracker leaves when
+        # its pipe closes), so give them a moment; orphans never leave.
+        deadline = time.monotonic() + 5.0
+        while (alive := _tagged_processes(tag_name, tag)) and (
+            time.monotonic() < deadline
+        ):
+            time.sleep(0.05)
+        assert alive == []
+    finally:
+        for pid in _tagged_processes(tag_name, tag):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

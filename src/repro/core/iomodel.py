@@ -130,22 +130,19 @@ class IOModelBuilder:
         """The (nodes x runs) noise matrix of one model, one ``exp`` call.
 
         Each node keeps its own registry stream
-        (``iomodel/{mode}/k…-i…-m…``) and the draws match
+        (``iomodel/{mode}/k…-i…-m…``), all of a model's derived in one
+        :meth:`~repro.rng.RngRegistry.streams` batch, and the draws match
         :class:`~repro.osmodel.noise.NoiseModel` row by row, so the
         vectorized sweep stays bit-identical to per-pair measurement.
         """
         if self.sigma == 0:
             return np.ones((self.machine.n_nodes, self.runs))
         mu = -0.5 * self.sigma * self.sigma
+        streams = self.registry.streams(
+            f"iomodel/{mode}/k{target_node}-i{i}-m{m}" for i in self.machine.node_ids
+        )
         return np.exp(
-            np.stack(
-                [
-                    self.registry.stream(
-                        f"iomodel/{mode}/k{target_node}-i{i}-m{m}"
-                    ).normal(mu, self.sigma, size=self.runs)
-                    for i in self.machine.node_ids
-                ]
-            )
+            np.stack([rng.normal(mu, self.sigma, size=self.runs) for rng in streams])
         )
 
     def build(self, target_node: int, mode: str) -> IOPerformanceModel:

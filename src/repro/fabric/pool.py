@@ -70,6 +70,20 @@ _WORKER_MACHINES: "OrderedDict[str, tuple]" = OrderedDict()
 _WORKER_STALLED = False
 
 
+def _exit_with_parent(sentinel: int) -> None:
+    """Block until the parent process is gone, then end this worker.
+
+    ``sentinel`` is the parent's :attr:`multiprocessing.Process.sentinel`:
+    it turns ready when the parent dies.  A SIGKILLed parent never shuts
+    its executor down, so its idle workers would otherwise wait on the
+    call queue forever.
+    """
+    from multiprocessing.connection import wait
+
+    wait([sentinel])
+    os._exit(1)
+
+
 def _worker_init() -> None:
     """Reset fabric state a forked worker inherited from its parent.
 
@@ -77,7 +91,19 @@ def _worker_init() -> None:
     session cache.  Those handles must be neutralised — the parent owns
     every published segment, and a worker's exit sweep must never close
     (let alone unlink) them through an inherited handle.
+
+    Each worker also watches its parent from a daemon thread and exits
+    when the parent dies, however it died.
     """
+    import multiprocessing
+    import threading
+
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with_parent, args=(parent.sentinel,), daemon=True,
+            name="fabric-parent-watch",
+        ).start()
     for inherited in _arena._ARENAS.values():
         inherited.owner = False
         inherited.closed = True

@@ -50,6 +50,8 @@ class PageAllocator:
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
         self._free = {nid: machine.node(nid).free_bytes for nid in machine.node_ids}
+        #: Each node's application memory: the most ``release`` can restore.
+        self._limit = dict(self._free)
         self.stats = NumaStat(node_ids=machine.node_ids)
         # Shared per-machine distance dict: allocators only read it, and
         # characterization sweeps construct one allocator per probe.
@@ -140,8 +142,7 @@ class PageAllocator:
         for node, size in allocation.bytes_by_node.items():
             if node not in self._free:
                 raise AllocationError(f"release references unknown node {node}")
-            limit = self.machine.node(node).free_bytes
-            if self._free[node] + size > limit:
+            if self._free[node] + size > self._limit[node]:
                 raise AllocationError(
                     f"double free on node {node}: releasing {size} bytes would "
                     f"exceed the node's application memory"

@@ -8,6 +8,8 @@ characterization code reads like the paper's pseudocode.
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import AffinityError
 from repro.memory.allocator import Allocation, PageAllocator
 from repro.memory.policy import MemBinding
@@ -42,11 +44,17 @@ def numa_node_of_cpu(machine: Machine, cpu: int) -> int:
     raise AffinityError(f"no such cpu {cpu}")
 
 
+@functools.cache
+def _bind(node: int) -> MemBinding:
+    """The frozen BIND binding to ``node``, built once per node."""
+    return MemBinding.bind(node)
+
+
 def numa_alloc_onnode(
     allocator: PageAllocator, size_bytes: int, node: int
 ) -> Allocation:
     """``numa_alloc_onnode``: hard allocation on one node."""
-    return allocator.allocate(size_bytes, cpu_node=node, binding=MemBinding.bind(node))
+    return allocator.allocate(size_bytes, cpu_node=node, binding=_bind(node))
 
 
 def numa_free(allocator: PageAllocator, allocation: Allocation) -> None:

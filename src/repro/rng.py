@@ -12,6 +12,17 @@ using ``numpy``'s :class:`~numpy.random.SeedSequence` spawning, so
 Names are free-form strings, conventionally ``"<subsystem>/<detail>"``,
 e.g. ``"bench/stream/cpu7-mem4/run13"``.
 
+A stream's generator is ``PCG64`` seeded by ``SeedSequence(entropy=seed,
+spawn_key=(crc32(name),))``; the seed must be a non-negative integer.
+:meth:`RngRegistry.stream` derives one stream through numpy.
+:meth:`RngRegistry.streams` derives a batch, bit for bit the same: the
+name is the sequence's last entropy word, so the seed's part of numpy's
+fixed SeedSequence hash runs once per registry, in Python ints, and the
+names' keys are mixed in with a few vectorized uint32 expressions.
+Algorithm 1's sweep derives its per-probe streams (8,192 per 64-node
+host) this way; ``tests/property/test_rng_streams.py`` holds the batch
+path to numpy's own derivation.
+
 Streams are handed out wrapped in a :class:`CountingGenerator`, which
 forwards every draw verbatim (sequences are bit-identical to the bare
 generator) while accounting how many values each named stream produced.
@@ -23,10 +34,12 @@ run manifests capture the seed registry state.
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.obs import recorder as _obs
 
 __all__ = ["RngRegistry", "CountingGenerator", "DEFAULT_SEED"]
@@ -39,6 +52,112 @@ DEFAULT_SEED = 20130701  # ICPP 2013 was held in July.
 def _name_key(name: str) -> int:
     """Stable 32-bit key for a stream name (crc32 is stable across runs)."""
     return zlib.crc32(name.encode("utf-8"))
+
+
+# numpy's SeedSequence hash: pool size, hashmix/mix multipliers and the
+# hash constants' start values (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+
+
+def _hashmix(value: int, h: int) -> tuple[int, int]:
+    """SeedSequence's ``hashmix``: the hashed word and the next constant."""
+    value ^= h
+    h = (h * _MULT_A) & _MASK32
+    value = (value * h) & _MASK32
+    return value ^ (value >> 16), h
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's ``mix`` of a pool word with a hashed word."""
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """The pool and hash constant of ``SeedSequence(seed, spawn_key=(k,))``
+    after every entropy word but the key ``k``.
+
+    The entropy is the seed's little-endian uint32 words, zero-padded to
+    the pool size because a spawn key is present, then the key.
+    """
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    pool = []
+    h = _INIT_A
+    for word in words[:_POOL_SIZE]:
+        value, h = _hashmix(word, h)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], value)
+    return tuple(pool), h
+
+
+def _pcg64_states(pool: tuple[int, ...], h: int, keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(...).generate_state(4, uint64)`` for every key: (N, 4).
+
+    Mixes each uint32 key, the last entropy word, into every word of the
+    seed's ``pool`` (hash constant ``h``), then hashes the pool out to 8
+    words, paired (low, high) into uint64s.
+    """
+    mixed = []
+    for word in pool:
+        hashed = keys ^ np.uint32(h)
+        h = (h * _MULT_A) & _MASK32
+        hashed *= np.uint32(h)
+        hashed ^= hashed >> 16
+        out = np.uint32((_MIX_MULT_L * word) & _MASK32) - np.uint32(_MIX_MULT_R) * hashed
+        out ^= out >> 16
+        mixed.append(out)
+    state = np.empty((len(keys), 2 * _POOL_SIZE), dtype=np.uint32)
+    g = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        word = mixed[i % _POOL_SIZE] ^ np.uint32(g)
+        g = (g * _MULT_B) & _MASK32
+        word *= np.uint32(g)
+        word ^= word >> 16
+        state[:, i] = word
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _derived_state_type() -> type:
+    """The seed-sequence type that hands ``PCG64`` one precomputed state row.
+
+    Built on first use: its base class lives in ``numpy.random``, which
+    ``import numpy`` loads lazily and ``import repro`` should not load.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class DerivedState(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self._state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            """The row itself: exactly the ``(4, numpy.uint64)`` ``PCG64`` asks for."""
+            if n_words != len(self._state) or dtype is not np.uint64:
+                raise ValueError("a derived state holds PCG64's 4 uint64 words only")
+            return self._state
+
+    return DerivedState
 
 
 def _draws(size) -> int:
@@ -132,9 +251,10 @@ class RngRegistry:
     Parameters
     ----------
     seed:
-        Root seed.  Two registries built with the same seed hand out
-        identical streams for identical names, irrespective of request
-        order.
+        Root seed, a non-negative integer (a negative one raises
+        :class:`~repro.errors.ReproError`).  Two registries built with
+        the same seed hand out identical streams for identical names,
+        irrespective of request order.
 
     Examples
     --------
@@ -148,8 +268,13 @@ class RngRegistry:
     """
 
     def __init__(self, seed: int = DEFAULT_SEED) -> None:
-        self._seed = int(seed)
+        seed = int(seed)
+        if seed < 0:
+            raise ReproError(f"seed must be a non-negative integer, got {seed}")
+        self._seed = seed
         self._draws: dict[str, int] = {}
+        #: The seed's SeedSequence pool and hash constant, for streams().
+        self._pool: "tuple[tuple[int, ...], int] | None" = None
 
     @property
     def seed(self) -> int:
@@ -172,6 +297,25 @@ class RngRegistry:
         return CountingGenerator(
             np.random.Generator(np.random.PCG64(seq)), name, self._draws
         )
+
+    def streams(self, names) -> list[CountingGenerator]:
+        """``[self.stream(n) for n in names]``, derived in one batch.
+
+        Same generators (each draws exactly what :meth:`stream`'s would),
+        same names, same shared draw ledger; only the SeedSequence hash
+        runs vectorized over the names instead of once per name.
+        """
+        names = list(names)
+        if self._pool is None:
+            self._pool = _seed_pool(self._seed)
+        keys = np.fromiter(map(_name_key, names), dtype=np.uint32, count=len(names))
+        states = _pcg64_states(*self._pool, keys)
+        derived = _derived_state_type()
+        generator, pcg64, draws = np.random.Generator, np.random.PCG64, self._draws
+        return [
+            CountingGenerator(generator(pcg64(derived(state))), name, draws)
+            for name, state in zip(names, states)
+        ]
 
     def absorb(self, counts: "dict[str, int]") -> None:
         """Fold another registry's draw ledger into this one's counts.

@@ -1,9 +1,10 @@
 """A small discrete-event simulation core.
 
-The flow-level network model (:mod:`repro.flows`) advances simulated time
-between *rate-change events* (a flow starting or finishing); device queue
-models and the OS noise model schedule their own events.  This package
-provides the shared clock and event queue they all use.
+The OS noise model's per-node daemons
+(:class:`~repro.osmodel.noise.OsNoiseDaemons`) run on this clock; they are
+the package's only user.  The flow-level network model (:mod:`repro.flows`)
+and the device engines keep their own piecewise-constant time between
+rate-change events (a flow starting or finishing) and do not use it.
 
 Public API
 ----------

@@ -132,6 +132,7 @@ class Machine:
         #: (populated by :func:`repro.devices.attach.attach_device`).
         self.devices: dict[str, Any] = {}
         self._validate()
+        self._node_ids = tuple(sorted(self._nodes))
         self._routing = RoutingTable(self._links)
 
     # --- validation ------------------------------------------------------
@@ -164,7 +165,7 @@ class Machine:
     @property
     def node_ids(self) -> tuple[int, ...]:
         """Sorted node ids."""
-        return tuple(sorted(self._nodes))
+        return self._node_ids
 
     @property
     def n_nodes(self) -> int:

@@ -163,3 +163,47 @@ def test_recover_soak_leaves_no_process_behind():
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+_POOL_THEN_SIGKILL = """
+import multiprocessing, os, signal
+from repro.fabric import FabricPool
+from repro.topology.builders import reference_host
+
+pool = FabricPool(jobs=2)
+pool.characterize_many(reference_host(), (0, 7), runs=2)
+print(" ".join(str(p.pid) for p in multiprocessing.active_children()), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_pool_workers_exit_with_a_sigkilled_parent(tmp_path):
+    """A parent that dies without closing its pool takes the workers along."""
+    tag_name = "REPRO_TEST_POOL_TAG"
+    tag = f"{os.getpid()}-{time.monotonic_ns()}"
+    env = {k: v for k, v in os.environ.items() if k != CRASH_ENV}
+    env[tag_name] = tag
+    pids_file = tmp_path / "worker_pids.txt"
+    try:
+        # Output goes to a file: a pipe would stay open while workers live.
+        with open(pids_file, "w") as out:
+            parent = subprocess.run(
+                [sys.executable, "-c", _POOL_THEN_SIGKILL],
+                stdout=out, stderr=subprocess.DEVNULL, env=env, timeout=120,
+            )
+        assert parent.returncode == -signal.SIGKILL
+        workers = [int(pid) for pid in pids_file.read_text().split()]
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5.0
+        while (alive := [
+            pid for pid in _tagged_processes(tag_name, tag) if pid in workers
+        ]) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert alive == []
+    finally:
+        for pid in _tagged_processes(tag_name, tag):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        _live_segments()  # reap the dead parent's arena segment

@@ -55,6 +55,15 @@ class TestCommands:
                      "--numjobs", "4", "--node", "2", "--target", "7"]) == 0
         assert "memcpy" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["iomodel", "--target", "7"],
+        ["stream", "--cpu", "7", "--mem", "4"],
+    ])
+    def test_negative_seed_is_a_cli_error(self, capsys, command):
+        assert main(["--seed", "-1", *command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+
     def test_fio_requires_engine_or_jobfile(self, capsys):
         assert main(["fio"]) == 2
 

@@ -42,3 +42,16 @@ def test_cli_module_runs_without_runpy_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_fresh_cli_import_loads_no_numpy_random():
+    # numpy loads numpy.random on first use; importing it up front costs
+    # every CLI start ~15 ms and ~6 MB, so repro.rng defers it too.
+    code = "import sys, repro.cli.main; print('numpy.random' in sys.modules)"
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

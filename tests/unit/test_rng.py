@@ -1,7 +1,9 @@
 """Deterministic RNG registry."""
 
 import numpy as np
+import pytest
 
+from repro.errors import ReproError
 from repro.rng import DEFAULT_SEED, RngRegistry
 
 
@@ -50,6 +52,11 @@ class TestChildren:
 
     def test_seed_property(self):
         assert RngRegistry(99).seed == 99
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_is_a_typed_error(self, seed):
+        with pytest.raises(ReproError, match="non-negative"):
+            RngRegistry(seed)
 
     def test_default_seed_is_stable(self):
         # Recorded in EXPERIMENTS.md; a change invalidates recorded numbers.

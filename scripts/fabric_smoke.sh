@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Worker-fabric smoke: the determinism and hygiene contracts, end to end.
+# Worker-fabric smoke: the determinism contract, end to end.
 #
 # Gates, in order:
 #   1. `iomodel --targets ... --jobs N` stdout is byte-identical to the
@@ -9,9 +9,7 @@
 #      with every experiment still reported exactly once.
 #   3. With --obs-dir, the sharded run's manifest carries the same RNG
 #      draw ledger as the serial run (worker telemetry grafting).
-#   4. No arena segment is leaked in /dev/shm after: a normal run, a
-#      session-LRU eviction storm, and a worker SIGKILL.
-#   5. BENCH_fabric.json is re-recorded and gated against the committed
+#   4. BENCH_fabric.json is re-recorded and gated against the committed
 #      baseline (tolerance +50% — process fork times are noisy).
 set -eu
 
@@ -24,15 +22,6 @@ mkdir -p "$WORK"
 
 TOLERANCE="${BENCH_TOLERANCE:-0.50}"
 
-leak_check() {
-    leaked="$(ls /dev/shm 2>/dev/null | grep '^repro_fab_' || true)"
-    if [ -n "$leaked" ]; then
-        echo "FAIL: leaked arena segments after $1: $leaked" >&2
-        exit 1
-    fi
-    echo "no leaked /dev/shm segments after $1"
-}
-
 echo "== 1. sharded iomodel sweep: stdout byte-identity"
 PYTHONPATH=src python -m repro.cli.main iomodel --targets all --mode both \
     --runs 10 > "$WORK/io_serial.txt"
@@ -44,7 +33,6 @@ if ! cmp -s "$WORK/io_serial.txt" "$WORK/io_jobs.txt"; then
     exit 1
 fi
 echo "iomodel sweep byte-identical at --jobs 3"
-leak_check "the iomodel sweep"
 
 echo "== 2. experiment artifacts: serial vs --jobs 2"
 PYTHONPATH=src python -m repro.cli.main experiment all --quick \
@@ -61,7 +49,6 @@ if grep -q "CRASH" "$WORK/exp_jobs_stdout.txt"; then
     exit 1
 fi
 echo "experiment artifacts byte-identical at --jobs 2"
-leak_check "the experiment batch"
 
 echo "== 2b. chaos: SIGKILLed experiment worker degrades, never hangs"
 if PYTHONPATH=src REPRO_CHAOS_KILL_EXPERIMENT=t1 timeout 120 \
@@ -77,7 +64,6 @@ if [ "$count" != "1" ]; then
     exit 1
 fi
 echo "worker SIGKILL degraded to a structured crash row"
-leak_check "the worker crash"
 
 echo "== 3. telemetry grafting: manifest draw ledgers match"
 PYTHONPATH=src python -m repro.cli.main iomodel --targets 0,3,7 \
@@ -103,30 +89,8 @@ assert names.count("fabric.build_many") == 3, names
 print(f"draw ledgers identical ({len(serial)} streams); "
       f"worker spans grafted into the parent trace")
 EOF
-leak_check "the telemetry runs"
 
-echo "== 4. session eviction releases its arena"
-PYTHONPATH=src python - <<'EOF'
-from repro.fabric import get_arena, live_segments
-from repro.solver import session as session_mod
-from repro.solver.session import get_session, reset_sessions
-from repro.topology.builders import scaled_host
-
-machine = scaled_host(3, seed=5)
-arena = get_arena(machine)
-session = get_session(machine)
-session.attach_arena(arena)
-arena.release()
-for seed in range(session_mod._MAX_SESSIONS + 1):
-    get_session(scaled_host(2, seed=seed))
-assert arena.closed, "LRU eviction left the arena attached"
-assert live_segments() == [], live_segments()
-reset_sessions()
-print("session-LRU eviction released its arena")
-EOF
-leak_check "the eviction storm"
-
-echo "== 5. record + gate BENCH_fabric.json"
+echo "== 4. record + gate BENCH_fabric.json"
 PYTHONPATH=src python scripts/bench_fabric.py "$WORK/fabric.json"
 if [ -f BENCH_fabric.json ]; then
     PYTHONPATH=src python scripts/bench_gate.py BENCH_fabric.json \
@@ -135,6 +99,5 @@ else
     echo "no committed BENCH_fabric.json baseline; recording a first snapshot"
 fi
 cp "$WORK/fabric.json" BENCH_fabric.json
-leak_check "the fabric benchmarks"
 
 echo "fabric smoke passed"

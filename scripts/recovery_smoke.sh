@@ -11,8 +11,7 @@
 #      lands, then SIGKILL), resuming `experiment all --quick`.
 #   3. The full seeded soak: `repro-numa recover` kills both workloads
 #      at randomized (seeded, reproducible) points, resumes, and gates
-#      stdout bit-identity, manifest twin-ness, and /dev/shm hygiene.
-#   4. No arena segment is leaked after any of it.
+#      stdout bit-identity and manifest twin-ness.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,15 +20,6 @@ TMPDIR="${TMPDIR:-/tmp}"
 WORK="$TMPDIR/recovery_smoke.$$"
 trap 'rm -rf "$WORK"' EXIT
 mkdir -p "$WORK"
-
-leak_check() {
-    leaked="$(ls /dev/shm 2>/dev/null | grep '^repro_fab_' || true)"
-    if [ -n "$leaked" ]; then
-        echo "FAIL: leaked arena segments after $1: $leaked" >&2
-        exit 1
-    fi
-    echo "no leaked /dev/shm segments after $1"
-}
 
 echo "== 1. torn-write drill: iomodel sweep killed mid-record"
 PYTHONPATH=src python -m repro.cli.main --seed 7 iomodel --targets all \
@@ -51,7 +41,6 @@ fi
 grep -q "truncated a torn tail" "$WORK/io_notes.txt"
 grep -q "unit(s) already completed" "$WORK/io_notes.txt"
 echo "torn tail truncated; resumed sweep byte-identical to golden"
-leak_check "the torn-write drill"
 
 echo "== 2. crash-point drill: experiment batch killed after record 5"
 # Journaled runs print the serial format (no wall-time columns — those
@@ -73,11 +62,9 @@ if ! cmp -s "$WORK/exp_golden.txt" "$WORK/exp_resumed.txt"; then
 fi
 grep -q "unit(s) already completed" "$WORK/exp_notes.txt"
 echo "completed experiments skipped; resumed batch byte-identical to golden"
-leak_check "the crash-point drill"
 
 echo "== 3. seeded randomized soak: repro-numa recover"
 PYTHONPATH=src python -m repro.cli.main --seed 2013 recover \
     --workload both --trials "${RECOVERY_TRIALS:-2}" --jobs 2 --runs 5
-leak_check "the recovery soak"
 
 echo "recovery smoke passed"

@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "recover",
         help="seeded crash-recovery soak: SIGKILL journaled runs, resume, "
-             "gate bit-identity and /dev/shm hygiene",
+             "gate bit-identity",
     )
     p.add_argument("--workload", default="both",
                    choices=("iomodel", "experiment", "both"),

@@ -59,7 +59,7 @@ class RouteLostError(FaultError):
 
 
 class FabricError(ReproError):
-    """A shared-memory arena or worker-pool operation failed or is misused."""
+    """A worker-fabric operation failed or is misused."""
 
 
 class JournalError(ReproError):

@@ -1,524 +1,71 @@
-"""Shared-memory arenas: one machine's solver matrices, mapped not pickled.
+"""The machine hand-off: how a pool worker gets the machine its task names.
 
-A :class:`MachineArena` packs everything a worker process needs to
-reconstruct a machine's solver state into one POSIX shared-memory
-segment keyed by :func:`~repro.solver.capacity.machine_fingerprint`:
+Every sweep task carries :func:`machine_ref` — the machine's solver
+fingerprint plus its canonical serialized description — and the worker
+rebuilds the machine with :func:`resolve_machine`, once per fingerprint:
+the last few rebuilt machines stay in a per-worker LRU, so a persistent
+pool sweeping one host rebuilds it once per worker, and everything a
+worker derives from the machine (capacities, hop matrix, routes) is
+computed there on first use.
 
-* the canonical machine description (JSON, for reconstruction),
-* the fabric **capacity values** (float64, names in the header),
-* the **hop matrix** (int64, N x N),
-* the DMA **adjacency matrix** (float64, N x N link Gbps).
+Routing overrides are rejected: they are not part of the canonical
+serialized form, so a worker could not reproduce the parent's routes.
 
-Segment layout: an 8-byte little-endian header length, the UTF-8 JSON
-header, then the arrays back to back at 16-byte aligned offsets in
-header-declared order.  Offsets are recomputed by the reader from the
-shapes, so the header never has to describe its own size.
-
-The attach-by-fingerprint protocol (:func:`get_arena`): attach the
-segment if some process already published it, build and publish it
-otherwise, racing publishers falling back to attach.  Every holder —
-sessions, pools, worker caches — takes a reference
-(:meth:`MachineArena.acquire`) and releases it when done; the last
-release closes the mapping, and the publishing process additionally
-unlinks the segment.  An :mod:`atexit` sweep force-closes anything
-still open so a normal interpreter exit never leaks ``/dev/shm``
-segments; a SIGKILLed *worker* cannot leak either, because workers only
-ever attach (the parent owns the unlink).
-
-Routing overrides are deliberately rejected: they are not part of the
-canonical serialized form, so a worker could not reproduce the parent's
-routes.  Callers fall back to shipping such machines whole.
+The module keeps its name because perfbench's tracer lists
+``repro.fabric.arena`` among the modules of its ``fabric`` layer.
 """
 
 from __future__ import annotations
 
-import atexit
-import json
-import os
-import struct
-import time
-import zlib
-
-import numpy as np
+from collections import OrderedDict
 
 from repro.errors import FabricError
-from repro.solver.capacity import build_capacities, machine_fingerprint
-from repro.topology.distance import hop_matrix
+from repro.solver.capacity import machine_fingerprint
 from repro.topology.machine import Machine
 from repro.topology.serialize import machine_from_dict, machine_to_dict
 
-__all__ = [
-    "MachineArena",
-    "segment_name",
-    "publish",
-    "attach",
-    "get_arena",
-    "release_all",
-    "live_segments",
-    "reap_orphans",
-]
+__all__ = ["machine_ref", "resolve_machine"]
 
-#: Prefix of every arena segment in /dev/shm (also the leak-scan key).
-SEGMENT_PREFIX = "repro_fab_"
+#: Worker-side LRU bound on rebuilt machines.
+_WORKER_MACHINE_LIMIT = 16
 
-_MAGIC = "repro-fabric-arena"
-_VERSION = 1
-_ALIGN = 16
-
-#: Process-local arena registry: fingerprint -> MachineArena.
-_ARENAS: "dict[str, MachineArena]" = {}
+#: Worker-side machine cache (fingerprint -> machine), one per process.
+_WORKER_MACHINES: "OrderedDict[str, Machine]" = OrderedDict()
 
 
-def segment_name(fingerprint: str) -> str:
-    """The shared-memory segment name for a machine fingerprint."""
-    return SEGMENT_PREFIX + fingerprint[:32]
+def machine_ref(machine: Machine) -> dict:
+    """The task-side handle for ``machine``: its fingerprint and its
+    serialized description.
 
-
-def _shared_memory():
-    """The stdlib module, imported lazily so sandboxes without POSIX
-    shared memory fail at use, not import."""
-    from multiprocessing import shared_memory
-
-    return shared_memory
-
-
-class _untracked:
-    """Suppress resource-tracker registration while attaching.
-
-    Python registers every ``SharedMemory`` attachment with the
-    :mod:`multiprocessing.resource_tracker`, which *unlinks* tracked
-    segments when the registering process exits — correct for owners,
-    destructive for attachers sharing a segment with a still-running
-    parent.  (Python 3.13's ``track=False`` is this, spelled properly.)
-    Registration is suppressed rather than undone after the fact: forked
-    workers share one tracker process whose cache is a *set*, so N
-    register + N unregister messages for one segment underflow it and
-    the tracker prints KeyErrors at exit.
+    Raises :class:`~repro.errors.FabricError` for a machine with routing
+    overrides, which the serialized form cannot carry.
     """
-
-    def __enter__(self):
-        from multiprocessing import resource_tracker
-
-        self._module = resource_tracker
-        self._original = resource_tracker.register
-
-        def _skip_shared_memory(name, rtype):
-            if rtype != "shared_memory":
-                self._original(name, rtype)
-
-        resource_tracker.register = _skip_shared_memory
-        self._original_unregister = resource_tracker.unregister
-
-        def _skip_unregister(name, rtype):
-            if rtype != "shared_memory":
-                self._original_unregister(name, rtype)
-
-        # unlink() unregisters; for a segment this process never
-        # registered (orphan reaping) that underflows the tracker's
-        # cache and it prints KeyErrors at exit.
-        resource_tracker.unregister = _skip_unregister
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._module.register = self._original
-        self._module.unregister = self._original_unregister
-        return False
-
-
-def _align(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def _pack_header(machine: Machine, fingerprint: str) -> "tuple[dict, list]":
-    """The header dict plus the arrays to pack, in declared order."""
-    capacities = build_capacities(machine)
-    cap_names = list(capacities)
-    cap_values = np.asarray([capacities[name] for name in cap_names], dtype=np.float64)
-    hops = hop_matrix(machine).astype(np.int64, copy=False)
-    ids = machine.node_ids
-    index = {nid: i for i, nid in enumerate(ids)}
-    adjacency = np.zeros((len(ids), len(ids)), dtype=np.float64)
-    for (src, dst), link in machine.links.items():
-        adjacency[index[src], index[dst]] = link.dma_gbps
-    arrays = [
-        ("cap_values", cap_values),
-        ("hops", hops),
-        ("adjacency", adjacency),
-    ]
-    payload_crc = 0
-    for _, arr in arrays:
-        payload_crc = zlib.crc32(arr.tobytes(), payload_crc)
-    header = {
-        "magic": _MAGIC,
-        "version": _VERSION,
-        "fingerprint": fingerprint,
-        "machine": machine_to_dict(machine),
-        "cap_names": cap_names,
-        # Publisher identity + integrity: pid lets a later process tell
-        # an orphaned segment from a live one (reap_orphans); the CRC
-        # over the packed arrays is re-verified on every attach.
-        "pid": os.getpid(),
-        "payload_crc": payload_crc,
-        "arrays": [
-            {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
-            for name, arr in arrays
-        ],
-    }
-    return header, arrays
-
-
-class MachineArena:
-    """One machine's solver matrices in a shared-memory segment.
-
-    Constructed via :func:`publish` / :func:`attach` / :func:`get_arena`,
-    never directly.  All array properties are zero-copy views into the
-    segment; treat them (and the shared :meth:`capacities` dict) as
-    read-only.
-    """
-
-    def __init__(self, shm, header: dict, offsets: "dict[str, int]",
-                 owner: bool) -> None:
-        self._shm = shm
-        self._header = header
-        self._offsets = offsets
-        self.owner = owner
-        self.refs = 0
-        self.closed = False
-        self._machine: Machine | None = None
-        self._capacities: dict[str, float] | None = None
-
-    # --- identity ---------------------------------------------------------
-    @property
-    def fingerprint(self) -> str:
-        """The machine fingerprint this arena was published under."""
-        return self._header["fingerprint"]
-
-    @property
-    def name(self) -> str:
-        """The shared-memory segment name."""
-        return self._shm.name
-
-    # --- views ------------------------------------------------------------
-    def _array(self, name: str) -> np.ndarray:
-        for spec in self._header["arrays"]:
-            if spec["name"] == name:
-                arr = np.ndarray(
-                    tuple(spec["shape"]),
-                    dtype=np.dtype(spec["dtype"]),
-                    buffer=self._shm.buf,
-                    offset=self._offsets[name],
-                )
-                arr.flags.writeable = False
-                return arr
-        raise FabricError(f"arena {self.name} has no array {name!r}")
-
-    @property
-    def hops(self) -> np.ndarray:
-        """The N x N hop matrix (int64 view into the segment)."""
-        return self._array("hops")
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """The N x N DMA link-capacity matrix (float64 view)."""
-        return self._array("adjacency")
-
-    def capacities(self) -> "dict[str, float]":
-        """The fabric capacity map, built once from the shared values.
-
-        Shared across every session attached to this arena — callers
-        must not mutate it (:meth:`SolverSession.capacities` copies).
-        """
-        if self._capacities is None:
-            values = self._array("cap_values")
-            self._capacities = dict(
-                zip(self._header["cap_names"], values.tolist())
-            )
-        return self._capacities
-
-    def machine(self) -> Machine:
-        """The machine reconstructed from the arena's description.
-
-        The reconstruction is cached, stamped with the published
-        fingerprint (skipping re-serialization), and seeded with the
-        shared hop matrix so distance consumers never recompute the
-        BFS sweep in a worker.
-        """
-        if self._machine is None:
-            machine = machine_from_dict(self._header["machine"])
-            try:
-                machine._solver_fingerprint = self.fingerprint
-                machine._hop_matrix_cache = self.hops
-            except AttributeError:  # pragma: no cover - exotic subclasses
-                pass
-            self._machine = machine
-        return self._machine
-
-    # --- lifecycle --------------------------------------------------------
-    def acquire(self) -> "MachineArena":
-        """Take a reference; every holder pairs this with :meth:`release`."""
-        if self.closed:
-            raise FabricError(f"arena {self.name} is closed")
-        self.refs += 1
-        return self
-
-    def release(self) -> None:
-        """Drop a reference; the last one closes (and owner-unlinks)."""
-        if self.closed:
-            return
-        self.refs -= 1
-        if self.refs <= 0:
-            self._close()
-
-    def _close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        self._machine = None
-        self._capacities = None
-        _ARENAS.pop(self.fingerprint, None)
-        try:
-            self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover - exported views
-            pass
-        if self.owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass  # another owner (or the tracker) got there first
-            except OSError:  # pragma: no cover - platform quirk
-                pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        role = "owner" if self.owner else "attached"
-        return (
-            f"MachineArena({self.fingerprint[:12]}, {role}, refs={self.refs})"
-        )
-
-
-def _offsets_for(header: dict, header_len: int) -> "dict[str, int]":
-    """Array offsets implied by the header (reader and writer agree)."""
-    offsets: dict[str, int] = {}
-    cursor = _align(8 + header_len)
-    for spec in header["arrays"]:
-        offsets[spec["name"]] = cursor
-        nbytes = int(np.dtype(spec["dtype"]).itemsize * np.prod(spec["shape"]))
-        cursor = _align(cursor + nbytes)
-    return offsets
-
-
-def publish(machine: Machine) -> MachineArena:
-    """Build ``machine``'s arena and publish it as a new segment.
-
-    Raises :class:`~repro.errors.FabricError` when the machine cannot be
-    represented (routing overrides), when the segment already exists
-    (use :func:`get_arena` for attach-or-publish), or when the platform
-    has no usable shared memory.
-    """
-    fingerprint = machine_fingerprint(machine)
     if getattr(machine.routing, "_overrides", None):
         raise FabricError(
-            f"machine {machine.name!r} has explicit routing overrides, "
-            f"which the serialized arena form cannot carry"
+            f"machine {machine.name!r} has routing overrides; the "
+            f"fabric cannot reproduce them in workers — run serially"
         )
-    header, arrays = _pack_header(machine, fingerprint)
-    blob = json.dumps(header, sort_keys=True, default=str).encode("utf-8")
-    offsets = _offsets_for(header, len(blob))
-    last_name, last_arr = arrays[-1]
-    size = offsets[last_name] + last_arr.nbytes
-    try:
-        shm = _shared_memory().SharedMemory(
-            name=segment_name(fingerprint), create=True, size=size
-        )
-    except FileExistsError:
-        raise FabricError(
-            f"arena segment for {fingerprint[:12]} already exists"
-        ) from None
-    except OSError as exc:
-        raise FabricError(f"cannot create shared memory: {exc}") from exc
-    shm.buf[:8] = struct.pack("<Q", len(blob))
-    shm.buf[8:8 + len(blob)] = blob
-    for name, arr in arrays:
-        dest = np.ndarray(
-            arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=offsets[name]
-        )
-        dest[...] = arr
-    return MachineArena(shm, header, offsets, owner=True)
+    return {
+        "fingerprint": machine_fingerprint(machine),
+        "machine": machine_to_dict(machine),
+    }
 
 
-def attach(fingerprint_or_segment: str) -> "MachineArena | None":
-    """Attach the published arena, or ``None`` when no process has one.
+def resolve_machine(ref: dict) -> Machine:
+    """The worker's machine for one :func:`machine_ref`.
 
-    Accepts either a machine fingerprint or a raw segment name.  The
-    attachment is never registered with the resource tracker, so an
-    attaching process's exit can never destroy the shared segment.
+    Rebuilt from the description the first time a fingerprint arrives,
+    stamped with that fingerprint (so the worker never re-serializes it
+    to key its solver session), and served from the LRU after that.
     """
-    name = fingerprint_or_segment
-    if not name.startswith(SEGMENT_PREFIX):
-        name = segment_name(name)
-    try:
-        with _untracked():
-            shm = _shared_memory().SharedMemory(name=name)
-    except FileNotFoundError:
-        return None
-    except OSError as exc:
-        raise FabricError(f"cannot attach shared memory {name}: {exc}") from exc
-    (header_len,) = struct.unpack("<Q", bytes(shm.buf[:8]))
-    try:
-        header = json.loads(bytes(shm.buf[8:8 + header_len]).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        shm.close()
-        raise FabricError(f"segment {name} holds no arena header") from exc
-    if header.get("magic") != _MAGIC:
-        shm.close()
-        raise FabricError(f"segment {name} is not a fabric arena")
-    if header.get("version", 0) > _VERSION:
-        shm.close()
-        raise FabricError(
-            f"arena {name} has version {header['version']}, newer than "
-            f"supported {_VERSION}"
-        )
-    offsets = _offsets_for(header, header_len)
-    stored_crc = header.get("payload_crc")
-    if stored_crc is not None:
-        crc = 0
-        for spec in header["arrays"]:
-            nbytes = int(
-                np.dtype(spec["dtype"]).itemsize * np.prod(spec["shape"])
-            )
-            start = offsets[spec["name"]]
-            crc = zlib.crc32(bytes(shm.buf[start:start + nbytes]), crc)
-        if crc != stored_crc:
-            shm.close()
-            raise FabricError(
-                f"arena {name} failed its payload checksum "
-                f"(0x{crc:08x} != published 0x{stored_crc:08x}) — "
-                f"the segment is corrupt; remove it and re-publish"
-            )
-    return MachineArena(shm, header, offsets, owner=False)
-
-
-def get_arena(machine: Machine) -> MachineArena:
-    """The process-wide arena for ``machine``: attach if published, else
-    build and publish.  The returned arena carries one reference for the
-    caller (pair with :meth:`MachineArena.release`)."""
-    fingerprint = machine_fingerprint(machine)
-    arena = _ARENAS.get(fingerprint)
-    if arena is None or arena.closed:
-        arena = attach(fingerprint)
-        if arena is None:
-            try:
-                arena = publish(machine)
-            except FabricError:
-                # Lost a publish race: someone else created it between
-                # our attach and create.  Re-raise anything else.
-                arena = attach(fingerprint)
-                if arena is None:
-                    raise
-        _ARENAS[fingerprint] = arena
-    return arena.acquire()
-
-
-def release_all() -> None:
-    """Force-close every arena this process holds (atexit sweep).
-
-    Ignores reference counts on purpose: the process is going away, so
-    any still-held reference is unreleasable.  Owners unlink their
-    segments; attachers just unmap.  Finishes with an orphan sweep so a
-    clean exit also clears segments a SIGKILLed sibling left behind.
-    """
-    for arena in list(_ARENAS.values()):
-        arena._close()
-    _ARENAS.clear()
-    try:
-        reap_orphans()
-    except Exception:  # pragma: no cover - never fail an exit path
-        pass
-
-
-def live_segments() -> "list[str]":
-    """Arena segment names currently present in ``/dev/shm``.
-
-    The leak check used by tests and ``scripts/fabric_smoke.sh``; empty
-    where the platform exposes no ``/dev/shm`` directory.
-    """
-    import os
-
-    try:
-        entries = os.listdir("/dev/shm")
-    except OSError:
-        return []
-    return sorted(e for e in entries if e.startswith(SEGMENT_PREFIX))
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True  # exists but is not ours to signal
-    return True
-
-
-def reap_orphans(max_age_s: float = 60.0) -> "list[str]":
-    """Unlink arena segments whose publishing process is gone.
-
-    A SIGKILLed parent cannot run its :mod:`atexit` sweep, so the
-    segments it owned survive in ``/dev/shm``.  Every
-    :class:`~repro.fabric.pool.FabricPool` start (and the atexit sweep
-    itself) calls this: any ``repro_fab_*`` segment whose published pid
-    is dead is unlinked; segments this process holds open, or whose
-    publisher is alive, are left alone.  Segments with no readable
-    header (pre-checksum format, or scribbled over) are reaped only
-    once older than ``max_age_s`` seconds, so a publisher caught
-    mid-write is not destroyed under it.  Returns the reaped names.
-    """
-    ours = {a.name for a in _ARENAS.values() if not a.closed}
-    reaped: list[str] = []
-    for name in live_segments():
-        if name in ours:
-            continue
-        try:
-            with _untracked():
-                shm = _shared_memory().SharedMemory(name=name)
-        except (FileNotFoundError, OSError):
-            continue  # raced with another reaper or the owner's exit
-        try:
-            owner_pid: int | None = None
-            try:
-                (header_len,) = struct.unpack("<Q", bytes(shm.buf[:8]))
-                if 0 < header_len <= len(shm.buf) - 8:
-                    header = json.loads(
-                        bytes(shm.buf[8:8 + header_len]).decode("utf-8")
-                    )
-                    if header.get("magic") == _MAGIC:
-                        pid = header.get("pid")
-                        if isinstance(pid, int) and pid > 0:
-                            owner_pid = pid
-            except (struct.error, UnicodeDecodeError, json.JSONDecodeError):
-                pass
-            if owner_pid is not None:
-                dead = not _pid_alive(owner_pid)
-            else:
-                # No trustworthy owner: only reap once clearly stale.
-                try:
-                    age = time.time() - os.stat(f"/dev/shm/{name}").st_mtime
-                except OSError:
-                    age = 0.0
-                dead = age > max_age_s
-            if dead:
-                try:
-                    with _untracked():
-                        shm.unlink()
-                    reaped.append(name)
-                except (FileNotFoundError, OSError):
-                    pass
-        finally:
-            try:
-                shm.close()
-            except (OSError, BufferError):  # pragma: no cover
-                pass
-    return reaped
-
-
-atexit.register(release_all)
+    fingerprint = ref["fingerprint"]
+    machine = _WORKER_MACHINES.get(fingerprint)
+    if machine is not None:
+        _WORKER_MACHINES.move_to_end(fingerprint)
+        return machine
+    machine = machine_from_dict(ref["machine"])
+    machine._solver_fingerprint = fingerprint
+    _WORKER_MACHINES[fingerprint] = machine
+    while len(_WORKER_MACHINES) > _WORKER_MACHINE_LIMIT:
+        _WORKER_MACHINES.popitem(last=False)
+    return machine

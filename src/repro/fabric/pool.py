@@ -1,10 +1,10 @@
-"""The persistent worker pool over shared-memory machine arenas.
+"""The persistent worker pool that shards sweeps and experiment batches.
 
 :class:`FabricPool` is the process fan-out layer of the reproduction:
-it shards characterization sweeps (`build_many` / `characterize_many` /
-`bulk_copy_gbps_many`) and runs experiment batches — all against
-machines that workers **map** from a shared-memory arena instead of
-unpickling per task.
+it shards Algorithm 1 sweeps (`build_many` / `characterize_many`) and
+runs experiment batches.  A sweep task carries its machine serialized
+(:func:`repro.fabric.arena.machine_ref`); each worker rebuilds a
+machine once per fingerprint and serves later tasks from its cache.
 
 Determinism contract (the one the smoke script gates): a sharded run is
 bit-identical to the serial run.  Three properties make that true:
@@ -27,9 +27,7 @@ Failure model: a SIGKILLed worker breaks the executor
 shards whose results were lost, up to ``retries`` times.  Experiment
 batches opt out of retry (``run_experiments``) and degrade to
 structured "crashed" rows instead, preserving the CLI's historical
-semantics.  Workers never own arena segments, so no crash can leak
-``/dev/shm``; a SIGKILLed *parent* can, which is why pool startup reaps
-dead-owner orphans (:func:`repro.fabric.arena.reap_orphans`).
+semantics.  Workers exit with their parent, however it dies.
 
 Checkpoint/resume: the sweep methods accept a
 :class:`~repro.journal.RunJournal`.  Journaled dispatch is
@@ -47,7 +45,6 @@ from __future__ import annotations
 import os
 import signal
 import time
-from collections import OrderedDict
 
 from repro.errors import FabricError
 from repro.fabric import arena as _arena
@@ -55,15 +52,8 @@ from repro.fabric import telemetry as _telemetry
 from repro.fabric.shard import merge_in_order, plan_shards
 from repro.obs import recorder as _obs
 from repro.rng import DEFAULT_SEED, RngRegistry
-from repro.solver.capacity import machine_fingerprint
 
 __all__ = ["FabricPool"]
-
-#: Worker-side LRU bound on attached machines/arenas.
-_WORKER_MACHINE_LIMIT = 16
-
-#: Worker-side machine cache, living in each worker process.
-_WORKER_MACHINES: "OrderedDict[str, tuple]" = OrderedDict()
 
 #: Whether this worker already served its injected stall (one per
 #: process; armed by ``repro.faults.execution.WorkerStall``).
@@ -85,12 +75,10 @@ def _exit_with_parent(sentinel: int) -> None:
 
 
 def _worker_init() -> None:
-    """Reset fabric state a forked worker inherited from its parent.
+    """Reset state a forked worker inherited from its parent.
 
-    Forked workers carry copies of the parent's arena registry and
-    session cache.  Those handles must be neutralised — the parent owns
-    every published segment, and a worker's exit sweep must never close
-    (let alone unlink) them through an inherited handle.
+    Forked workers carry copies of the parent's solver sessions, machine
+    cache and obs recorder; each worker starts from empty ones instead.
 
     Each worker also watches its parent from a daemon thread and exits
     when the parent dies, however it died.
@@ -104,51 +92,11 @@ def _worker_init() -> None:
             target=_exit_with_parent, args=(parent.sentinel,), daemon=True,
             name="fabric-parent-watch",
         ).start()
-    for inherited in _arena._ARENAS.values():
-        inherited.owner = False
-        inherited.closed = True
-    _arena._ARENAS.clear()
     from repro.solver.session import _SESSIONS
 
-    for session in _SESSIONS.values():
-        session._arena = None
     _SESSIONS.clear()
-    _WORKER_MACHINES.clear()
+    _arena._WORKER_MACHINES.clear()
     _obs.uninstall()
-
-
-def _resolve_machine(ref: dict):
-    """The worker's machine for one task ref: arena-mapped, else rebuilt.
-
-    Cached per fingerprint; an arena-backed machine's solver session is
-    attached to the arena so capacities come from the mapped bytes.
-    """
-    fingerprint = ref["fingerprint"]
-    entry = _WORKER_MACHINES.get(fingerprint)
-    if entry is not None:
-        _WORKER_MACHINES.move_to_end(fingerprint)
-        return entry[0]
-    arena = _arena.attach(ref["segment"]) if ref.get("segment") else None
-    if arena is not None:
-        arena.acquire()
-        machine = arena.machine()
-        from repro.solver.session import get_session
-
-        get_session(machine).attach_arena(arena)
-    else:
-        from repro.topology.serialize import machine_from_dict
-
-        machine = machine_from_dict(ref["machine"])
-        try:
-            machine._solver_fingerprint = fingerprint
-        except AttributeError:  # pragma: no cover - exotic subclasses
-            pass
-    _WORKER_MACHINES[fingerprint] = (machine, arena)
-    while len(_WORKER_MACHINES) > _WORKER_MACHINE_LIMIT:
-        _fp, (_m, old_arena) = _WORKER_MACHINES.popitem(last=False)
-        if old_arena is not None:
-            old_arena.release()
-    return machine
 
 
 def _run_kind(kind: str, machine, registry, payload: dict):
@@ -165,12 +113,6 @@ def _run_kind(kind: str, machine, registry, payload: dict):
         characterizer = HostCharacterizer(machine, registry=registry,
                                           **payload["builder"])
         return characterizer.characterize_many(tuple(payload["targets"]))
-    if kind == "bulk_copy":
-        from repro.bench.engines import bulk_copy_gbps_many
-
-        return bulk_copy_gbps_many(
-            machine, [tuple(p) for p in payload["pairs"]], payload["threads"]
-        )
     if kind == "experiment":
         import time
 
@@ -187,8 +129,6 @@ def _run_kind(kind: str, machine, registry, payload: dict):
         failed_lines = [c.render() for c in result.failed_checks()]
         return (exp_id, result.passed, result.title, result.render(),
                 failed_lines, wall_s)
-    if kind == "ping":
-        return machine.name if machine is not None else None
     raise FabricError(f"unknown fabric task kind {kind!r}")
 
 
@@ -231,7 +171,7 @@ def _worker_run(task: dict) -> dict:
         baseline = solver_totals()
     try:
         machine = (
-            _resolve_machine(task["machine_ref"])
+            _arena.resolve_machine(task["machine_ref"])
             if task.get("machine_ref") else None
         )
         registry = RngRegistry(task["seed"])
@@ -243,7 +183,7 @@ def _worker_run(task: dict) -> dict:
 
 
 class FabricPool:
-    """A persistent process pool dispatching over shared-memory arenas.
+    """A persistent process pool that shards sweeps and experiment batches.
 
     Parameters
     ----------
@@ -255,18 +195,14 @@ class FabricPool:
     retries:
         How many times a broken pool is rebuilt and lost shards
         re-dispatched before giving up.
-    mp_context:
-        Optional :mod:`multiprocessing` context (tests pin ``fork``).
 
     The pool is lazy (workers start on first dispatch), reusable across
-    machines (tasks carry their arena ref), and must be closed —
-    ``close()`` or the context-manager form — to shut workers down and
-    release published arenas promptly.  Segments can never outlive the
-    process even without it: the arena layer's atexit sweep owns that.
+    machines (tasks carry their machine), and must be closed —
+    ``close()`` or the context-manager form — to shut workers down.
     """
 
     def __init__(self, jobs: int = 2, seed: int = DEFAULT_SEED,
-                 retries: int = 2, mp_context=None) -> None:
+                 retries: int = 2) -> None:
         if jobs < 1:
             raise FabricError(f"need >= 1 worker, got {jobs}")
         if retries < 0:
@@ -274,33 +210,21 @@ class FabricPool:
         self.jobs = jobs
         self.seed = int(seed)
         self.retries = retries
-        self._mp_context = mp_context
         self._executor = None
-        self._arenas: "OrderedDict[str, _arena.MachineArena]" = OrderedDict()
         self.dispatched = 0
         self.completed = 0
         self.retried = 0
         self.closed = False
-        # A SIGKILLed predecessor never ran its atexit sweep; clear its
-        # dead-owner segments before publishing under the same names.
-        try:
-            _arena.reap_orphans()
-        except Exception:  # pragma: no cover - never fail pool startup
-            pass
 
     # --- lifecycle --------------------------------------------------------
     def _ensure_executor(self):
         if self.closed:
             raise FabricError("fabric pool is closed")
         if self._executor is None:
-            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            context = self._mp_context or multiprocessing.get_context()
             self._executor = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=context,
-                initializer=_worker_init,
+                max_workers=self.jobs, initializer=_worker_init,
             )
         return self._executor
 
@@ -310,16 +234,13 @@ class FabricPool:
             self._executor = None
 
     def close(self) -> None:
-        """Shut the workers down and release every published arena."""
+        """Shut the workers down."""
         if self.closed:
             return
         self.closed = True
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-        for arena in self._arenas.values():
-            arena.release()
-        self._arenas.clear()
 
     def __enter__(self) -> "FabricPool":
         return self
@@ -330,47 +251,15 @@ class FabricPool:
 
     # --- accounting -------------------------------------------------------
     def stats(self) -> dict:
-        """JSON-able pool accounting (dispatch counters, live arenas)."""
+        """JSON-able pool accounting (dispatch counters)."""
         return {
             "jobs": self.jobs,
             "dispatched": self.dispatched,
             "completed": self.completed,
             "retried": self.retried,
-            "arenas": len(self._arenas),
         }
 
     # --- dispatch core ----------------------------------------------------
-    def _machine_ref(self, machine) -> dict:
-        """The task-side handle for ``machine``: arena name, or its
-        serialized form when no arena can be published."""
-        if getattr(machine.routing, "_overrides", None):
-            raise FabricError(
-                f"machine {machine.name!r} has routing overrides; the "
-                f"fabric cannot reproduce them in workers — run serially"
-            )
-        fingerprint = machine_fingerprint(machine)
-        arena = self._arenas.get(fingerprint)
-        if arena is not None and not arena.closed:
-            self._arenas.move_to_end(fingerprint)
-            return {"fingerprint": fingerprint, "segment": arena.name}
-        try:
-            arena = _arena.get_arena(machine)
-        except FabricError:
-            arena = None  # no usable shared memory: ship the description
-        if arena is None:
-            from repro.topology.serialize import machine_to_dict
-
-            return {
-                "fingerprint": fingerprint,
-                "segment": None,
-                "machine": machine_to_dict(machine),
-            }
-        self._arenas[fingerprint] = arena
-        while len(self._arenas) > _WORKER_MACHINE_LIMIT:
-            _fp, old = self._arenas.popitem(last=False)
-            old.release()
-        return {"fingerprint": fingerprint, "segment": arena.name}
-
     def _task(self, kind: str, machine_ref, seed: int, payload: dict) -> dict:
         return {
             "kind": kind,
@@ -483,7 +372,7 @@ class FabricPool:
         """
         targets = tuple(targets)
         seed = registry.seed if registry is not None else self.seed
-        ref = self._machine_ref(machine)
+        ref = _arena.machine_ref(machine)
         if journal is not None:
             envelopes = self._run_journaled(
                 journal,
@@ -517,7 +406,7 @@ class FabricPool:
         """
         nodes = tuple(nodes)
         seed = registry.seed if registry is not None else self.seed
-        ref = self._machine_ref(machine)
+        ref = _arena.machine_ref(machine)
         if journal is not None:
             envelopes = self._run_journaled(
                 journal,
@@ -538,24 +427,6 @@ class FabricPool:
             envelopes = self._run_tasks(tasks)
         self._merge(envelopes, registry, "fabric.characterize_many")
         return merge_in_order([env["result"] for env in envelopes])
-
-    def bulk_copy_gbps_many(self, machine, pairs, threads: int) -> "list[float]":
-        """Sharded :func:`~repro.bench.engines.bulk_copy_gbps_many`."""
-        pairs = [tuple(p) for p in pairs]
-        ref = self._machine_ref(machine)
-        tasks = [
-            self._task("bulk_copy", ref, self.seed, {
-                "pairs": pairs[start:stop],
-                "threads": threads,
-            })
-            for start, stop in plan_shards(len(pairs), self.jobs)
-        ]
-        envelopes = self._run_tasks(tasks)
-        self._merge(envelopes, None, "fabric.bulk_copy")
-        out: "list[float]" = []
-        for env in envelopes:
-            out.extend(env["result"])
-        return out
 
     # --- experiments ------------------------------------------------------
     def run_experiments(self, exp_ids, quick: bool = False,

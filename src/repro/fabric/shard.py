@@ -1,16 +1,12 @@
 """Shard planning and order-preserving merges for the worker fabric.
 
 Pure functions, no processes: :func:`plan_shards` cuts a work list into
-contiguous slices (one per worker task) and the merge helpers fold
-per-shard results back together **in shard order**.  Contiguity plus
-in-order folding is what makes sharded execution indistinguishable from
-serial execution for every order-sensitive artifact we gate on:
-
-* result dicts keep the serial insertion order (shard ``k`` holds a
-  contiguous run of items, and shards are folded ``0, 1, 2, ...``);
-* RNG draw ledgers merge by name-wise addition, which reproduces the
-  serial ledger exactly because streams are name-keyed and every name
-  is drawn the same number of times no matter which process drew it.
+contiguous slices (one per worker task) and :func:`merge_in_order` folds
+per-shard result dicts back together **in shard order**.  Contiguity
+plus in-order folding keeps the serial insertion order (shard ``k``
+holds a contiguous run of items, and shards are folded ``0, 1, 2,
+...``), which makes sharded execution indistinguishable from serial
+execution for every order-sensitive artifact we gate on.
 
 Shard *counts* are a throughput knob, never a semantics knob: any
 ``n_shards`` (including more shards than items) yields the same merged
@@ -21,7 +17,7 @@ from __future__ import annotations
 
 from repro.errors import FabricError
 
-__all__ = ["plan_shards", "merge_in_order", "merge_draws"]
+__all__ = ["plan_shards", "merge_in_order"]
 
 
 def plan_shards(n_items: int, n_shards: int) -> "list[tuple[int, int]]":
@@ -60,13 +56,4 @@ def merge_in_order(shard_results: "list[dict]") -> dict:
             if key in merged:
                 raise FabricError(f"shard results collide on key {key!r}")
             merged[key] = value
-    return merged
-
-
-def merge_draws(shard_draws: "list[dict[str, int]]") -> "dict[str, int]":
-    """Sum per-shard RNG draw ledgers name-wise, in shard order."""
-    merged: dict[str, int] = {}
-    for draws in shard_draws:
-        for name, n in draws.items():
-            merged[name] = merged.get(name, 0) + int(n)
     return merged

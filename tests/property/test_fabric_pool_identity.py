@@ -7,7 +7,7 @@ stream names, same draw counts.  A SIGKILLed worker mid-sweep must not
 change any of that.
 
 One module-scoped pool serves every example — the pool is
-machine-agnostic (tasks carry their arena refs), and persistent-pool
+machine-agnostic (tasks carry their machine), and persistent-pool
 reuse is exactly the production shape.
 """
 
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.characterize import HostCharacterizer
 from repro.core.iomodel import IOModelBuilder
-from repro.fabric import FabricPool, live_segments
+from repro.fabric import FabricPool
 from repro.rng import RngRegistry
 from repro.topology.builders import scaled_host
 
@@ -41,7 +41,6 @@ hosts = st.builds(
 def pool():
     with FabricPool(jobs=MAX_JOBS) as shared:
         yield shared
-    assert live_segments() == []
 
 
 @given(
@@ -109,9 +108,6 @@ def test_sigkilled_worker_recovers_bit_identical(tmp_path, monkeypatch):
         tuple(targets), "write"
     )
 
-    # The module-scoped pool may legitimately hold arenas; this test only
-    # asserts the crash pool itself leaks nothing.
-    baseline = live_segments()
     marker = tmp_path / "kill-once"
     monkeypatch.setenv("REPRO_FABRIC_KILL_ONCE", str(marker))
     with FabricPool(jobs=2) as crash_pool:
@@ -125,14 +121,12 @@ def test_sigkilled_worker_recovers_bit_identical(tmp_path, monkeypatch):
     for target in targets:
         assert sharded[target].render() == serial[target].render()
     assert sharded_registry.draw_counts == serial_registry.draw_counts
-    assert live_segments() == baseline
 
 
 def test_pool_gives_up_after_retries(tmp_path, monkeypatch):
     """With retries exhausted the pool raises instead of looping."""
     from repro.errors import FabricError
 
-    baseline = live_segments()
     machine = scaled_host(2, seed=1)
     # Kill every incarnation: point the marker at an uncreatable path so
     # os.open never succeeds in marking "already died".
@@ -145,4 +139,20 @@ def test_pool_gives_up_after_retries(tmp_path, monkeypatch):
                 machine, list(machine.node_ids), "write",
                 registry=RngRegistry(1), runs=3,
             )
-    assert live_segments() == baseline
+
+
+def test_pool_rejects_routing_overrides():
+    """Workers rebuild machines from their serialized form, which cannot
+    carry explicit routing overrides: such a machine never reaches one."""
+    from repro.errors import FabricError
+
+    machine = scaled_host(3, seed=11)
+    nodes = machine.node_ids
+    hops = machine.routing.route("dma", nodes[0], nodes[1])
+    machine.routing.set_route("dma", hops)
+    with FabricPool(jobs=1) as override_pool:
+        with pytest.raises(FabricError, match="overrides"):
+            override_pool.build_many(
+                machine, nodes, "write", registry=RngRegistry(1), runs=3,
+            )
+        assert override_pool.stats()["dispatched"] == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FabricError
-from repro.fabric.shard import merge_draws, merge_in_order, plan_shards
+from repro.fabric.shard import merge_in_order, plan_shards
 
 
 @given(
@@ -56,22 +56,6 @@ def test_merge_reproduces_serial_insertion_order(keys, n_shards):
 def test_merge_rejects_collisions():
     with pytest.raises(FabricError, match="collide"):
         merge_in_order([{"a": 1}, {"a": 2}])
-
-
-@given(
-    st.lists(
-        st.dictionaries(
-            st.sampled_from(["s/a", "s/b", "s/c", "s/d"]),
-            st.integers(min_value=0, max_value=100),
-        ),
-        max_size=8,
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_merge_draws_is_namewise_sum(ledgers):
-    merged = merge_draws(ledgers)
-    for name in {n for ledger in ledgers for n in ledger}:
-        assert merged[name] == sum(ledger.get(name, 0) for ledger in ledgers)
 
 
 def test_plan_rejects_bad_inputs():

@@ -122,6 +122,43 @@ class TestInvalidation:
         assert session.stats.cache_hits == 0
 
 
+class TestRegistryDrop:
+    """A session dropped from the registry goes cold even while a caller
+    still holds it: its capacity map is rebuilt, its memos are empty."""
+
+    @staticmethod
+    def _warm(session):
+        session.capacities()
+        session.rates([Flow(name="f", resources=("ctrl-dma:0",))])
+        session.dma_path_gbps(0, 7)
+        assert session.stats.capacity_builds == 1 and len(session._alloc) == 1
+
+    @staticmethod
+    def _assert_cold(session):
+        assert len(session._alloc) == 0
+        session.capacities()
+        session.dma_path_gbps(0, 7)
+        assert session.stats.capacity_builds == 2
+        assert session.stats.path_misses == 2
+
+    def test_reset_sessions(self, bare_host):
+        held = get_session(bare_host)
+        self._warm(held)
+        reset_sessions()
+        self._assert_cold(held)
+        assert get_session(bare_host) is not held
+
+    def test_lru_eviction(self, bare_host):
+        from repro.solver.session import _MAX_SESSIONS
+
+        held = get_session(bare_host)
+        self._warm(held)
+        for gbps in range(_MAX_SESSIONS):
+            get_session(with_dram_gbps(bare_host, 0, 50.0 + gbps))
+        self._assert_cold(held)
+        assert get_session(bare_host) is not held
+
+
 class TestAllocationMemoization:
     def test_repeat_solve_hits_cache(self, bare_host):
         session = SolverSession(bare_host)

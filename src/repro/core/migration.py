@@ -16,30 +16,34 @@ that mechanism on top of the class model:
   "migrating parallel I/O threads" mechanism of §VI applied to
   unmodified workloads);
 * :class:`OnlineSimulator` — an event-driven run (arrivals, completions,
-  migration epochs) whose instantaneous rates come from the same
-  service-level model as the fio engines, so policies are compared on
-  the exact physics the benchmarks validated.
+  migration epochs) on the library's one
+  :class:`~repro.flows.network.FlowLoop`, whose instantaneous rates come
+  from the same service-level model as the fio engines, so policies are
+  compared on the exact physics the benchmarks validated.  Its step hook
+  places the streams admitted at that step, runs any migration epochs
+  due, and pauses stalled streams until their stall ends.
 
-Migration is not free: a migrated stream pays ``migration_cost_s`` of
-stalled transfer (page unmap/copy/remap), so the policy must earn its
-moves.
+Migration is not free: a migrated stream pays 0.5 s of stalled transfer
+(page unmap/copy/remap), so the policy must earn its moves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.bench.engines import StreamPlacement, device_service_levels
-from repro.errors import ModelError, SimulationError
+from repro.errors import ModelError
 from repro.flows.flow import Flow
+from repro.flows.network import FlowLoop
 from repro.core.model import IOPerformanceModel
 from repro.core.scheduler_advisor import PlacementAdvisor
 from repro.rng import RngRegistry
 from repro.solver.session import get_session
 from repro.topology.machine import Machine
-from repro.units import GB, gbps, gbps_to_bytes_per_s
+from repro.units import GB, gbps
 
 __all__ = [
     "StreamJob",
@@ -51,6 +55,16 @@ __all__ = [
 
 #: Policy names accepted by :meth:`OnlineSimulator.run`.
 POLICIES = ("local", "random", "class-spread", "class-migrate")
+
+#: The device every stream uses and its per-direction rdma profiles.
+_DEVICE = "nic"
+_PROFILES = {"write": "rdma_write", "read": "rdma_read"}
+#: Class-equivalence tolerance for the placement advisor.
+_TOLERANCE = 0.05
+#: class-migrate's re-evaluation period and the transfer stall each
+#: migrated stream pays.
+_EPOCH_S = 20.0
+_MIGRATION_COST_S = 0.5
 
 
 @dataclass
@@ -64,15 +78,21 @@ class StreamJob:
     #: Assigned by the policy at arrival (and possibly re-assigned).
     node: int | None = None
     remaining_bytes: float = field(init=False)
-    start_s: float | None = None
-    finish_s: float | None = None
     migrations: int = 0
     #: Simulated time at which the stream may transfer again (migration stall).
     stalled_until_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ModelError(f"stream {self.name!r}: size must be positive")
+        if not 0 <= self.arrival_s < math.inf:
+            raise ModelError(
+                f"stream {self.name!r}: arrival must be finite and "
+                f"non-negative, got {self.arrival_s!r}"
+            )
+        if not 0 < self.size_bytes < math.inf:
+            raise ModelError(
+                f"stream {self.name!r}: size must be positive and finite, "
+                f"got {self.size_bytes!r}"
+            )
         if self.direction not in ("write", "read"):
             raise ModelError(f"stream {self.name!r}: bad direction {self.direction!r}")
         self.remaining_bytes = float(self.size_bytes)
@@ -149,71 +169,45 @@ class PolicyOutcome:
 
 
 class OnlineSimulator:
-    """Event-driven online placement simulation against one device.
+    """Event-driven online placement simulation against the host's NIC.
+
+    Write-direction streams get the rdma write profile and
+    read-direction streams the rdma read profile.
 
     Parameters
     ----------
     machine:
-        Host with the target device attached.
+        Host with a ``nic`` device attached.
     model:
         The memcpy class model of the device's node (drives the
         class-aware policies; ``local``/``random`` ignore it).
-    device_name / engine:
-        Which device and protocol family streams use; write-direction
-        streams get the family's write profile and read-direction
-        streams its read profile.
-    tolerance:
-        Class-equivalence tolerance for the advisor.
-    epoch_s:
-        Migration-policy re-evaluation period.
-    migration_cost_s:
-        Transfer stall paid per migrated stream.
+    registry:
+        Seeds the ``random`` policy's placement draws.
     """
-
-    #: Protocol family -> per-direction device profile names.
-    ENGINE_PROFILES = {
-        "rdma": {"write": "rdma_write", "read": "rdma_read"},
-        "tcp": {"write": "tcp_send", "read": "tcp_recv"},
-        "libaio": {"write": "libaio_write", "read": "libaio_read"},
-    }
 
     def __init__(
         self,
         machine: Machine,
         model: IOPerformanceModel,
-        device_name: str = "nic",
-        engine: str = "rdma",
         registry: RngRegistry | None = None,
-        tolerance: float = 0.05,
-        epoch_s: float = 20.0,
-        migration_cost_s: float = 0.5,
     ) -> None:
-        device = machine.devices.get(device_name)
+        device = machine.devices.get(_DEVICE)
         if device is None:
             raise ModelError(
-                f"machine {machine.name!r} has no device {device_name!r}"
-            )
-        if engine not in self.ENGINE_PROFILES:
-            raise ModelError(
-                f"unknown engine {engine!r}; choose from "
-                f"{sorted(self.ENGINE_PROFILES)}"
+                f"machine {machine.name!r} has no device {_DEVICE!r}"
             )
         self.machine = machine
         self.model = model
         self.device = device
         self.profiles = {
-            direction: device.engine(name)
-            for direction, name in self.ENGINE_PROFILES[engine].items()
+            direction: device.engine(name) for direction, name in _PROFILES.items()
         }
-        #: Write-side profile drives stream caps / noise defaults.
-        self.profile = self.profiles["write"]
         self.registry = registry or RngRegistry()
-        self.advisor = PlacementAdvisor(machine, model, tolerance=tolerance)
-        self.epoch_s = epoch_s
-        self.migration_cost_s = migration_cost_s
+        self.advisor = PlacementAdvisor(machine, model, tolerance=_TOLERANCE)
         # Event-loop allocations share the machine's solver session, so
         # recurring active sets are served from the memo.
         self.session = get_session(machine)
+        self._resource = f"dev:{device.name}"
         # Candidate nodes for the class-aware policies, best class first.
         self._candidates = list(self.advisor.candidate_nodes())
 
@@ -225,7 +219,7 @@ class OnlineSimulator:
                 load[job.node] += 1
         return load
 
-    def _place(self, policy: str, job: StreamJob, active: list[StreamJob],
+    def _place(self, policy: str, active: list[StreamJob],
                rng: np.random.Generator) -> int:
         if policy in ("local", "class-migrate"):
             # class-migrate models unmodified applications: they arrive
@@ -257,7 +251,7 @@ class OnlineSimulator:
                 load[target] += 1
                 job.node = target
                 job.migrations += 1
-                job.stalled_until_s = max(job.stalled_until_s, now) + self.migration_cost_s
+                job.stalled_until_s = max(job.stalled_until_s, now) + _MIGRATION_COST_S
                 moved += 1
         return moved
 
@@ -282,7 +276,7 @@ class OnlineSimulator:
         levels = [by_direction[j.direction][i] for i, j in enumerate(running)]
         n = len(running)
         ways = max(1.0, n / self.device.dma.contexts)
-        resource = f"dev:{self.device.name}"
+        resource = self._resource
         flows = []
         for j, level in zip(running, levels):
             profile = self.profiles[j.direction]
@@ -301,87 +295,52 @@ class OnlineSimulator:
         if policy not in POLICIES:
             raise ModelError(f"unknown policy {policy!r}; choose from {POLICIES}")
         rng = self.registry.stream(f"online/{policy}")
-        pending = sorted(
-            (StreamJob(name=j.name, arrival_s=j.arrival_s,
-                       size_bytes=j.size_bytes, direction=j.direction)
-             for j in jobs),
-            key=lambda j: (j.arrival_s, j.name),
-        )
-        active: list[StreamJob] = []
-        done: list[StreamJob] = []
-        now = 0.0
-        next_epoch = self.epoch_s
-        migrations = 0
-        guard = 0
+        fresh = {
+            j.name: StreamJob(name=j.name, arrival_s=j.arrival_s,
+                              size_bytes=j.size_bytes, direction=j.direction)
+            for j in jobs
+        }
+        flows = [
+            Flow(name=j.name, resources=(self._resource,),
+                 size_bytes=j.size_bytes, start_s=j.arrival_s)
+            for j in jobs
+        ]
+        migrate = policy == "class-migrate"
+        next_epoch = _EPOCH_S
+        epoch_moves = 0
 
-        while pending or active:
-            guard += 1
-            if guard > 200_000:  # pragma: no cover - safety valve
-                raise SimulationError("online simulation failed to converge")
-            # Admit arrivals due now.
-            while pending and pending[0].arrival_s <= now + 1e-12:
-                job = pending.pop(0)
-                job.node = self._place(policy, job, active, rng)
-                job.start_s = now
-                active.append(job)
-            if not active:
-                now = pending[0].arrival_s
-                continue
-
-            # Process any migration epochs that are due (idle jumps can
-            # skip several at once).
-            if policy == "class-migrate":
-                while now >= next_epoch - 1e-12:
-                    migrations += self._plan_migrations(now, active)
-                    next_epoch += self.epoch_s
-
-            rates = self._rates(now, active)
-            horizon = float("inf")
-            if pending:
-                horizon = min(horizon, pending[0].arrival_s - now)
-            if policy == "class-migrate":
-                horizon = min(horizon, next_epoch - now)
+        def step(loop: FlowLoop):
+            nonlocal next_epoch, epoch_moves
+            now = loop.now
+            active = [fresh[name] for name in loop.active]
+            # Streams admitted this step are the unplaced ones; each one's
+            # placement sees those placed before it.
+            for job in active:
+                if job.node is None:
+                    job.node = self._place(policy, active, rng)
+            until = math.inf
+            if migrate:
+                # Catch up on every epoch due (idle jumps can skip several).
+                while loop.reached(next_epoch):
+                    epoch_moves += self._plan_migrations(now, active)
+                    next_epoch += _EPOCH_S
+                until = next_epoch
             for job in active:
                 if job.stalled_until_s > now:
-                    horizon = min(horizon, job.stalled_until_s - now)
-                elif job.name in rates and rates[job.name] > 0:
-                    horizon = min(
-                        horizon,
-                        job.remaining_bytes
-                        / gbps_to_bytes_per_s(rates[job.name]),
-                    )
-            if horizon == float("inf") or horizon < 0:
-                raise SimulationError("no progress horizon in online simulation")
+                    until = min(until, job.stalled_until_s)
+            return self._rates(now, active), until
 
-            for job in active:
-                if job.name in rates and job.stalled_until_s <= now:
-                    job.remaining_bytes -= (
-                        gbps_to_bytes_per_s(rates[job.name]) * horizon
-                    )
-            now += horizon
-
-            still = []
-            for job in active:
-                if job.remaining_bytes <= max(1.0, 1e-9 * job.size_bytes):
-                    job.finish_s = now
-                    done.append(job)
-                else:
-                    still.append(job)
-            active = still
-
-        completions = {
-            j.name: j.finish_s - j.arrival_s for j in done  # type: ignore[operator]
-        }
+        outcomes = FlowLoop(flows, step).run().values()
+        completions = {o.name: o.duration_s for o in outcomes}
         times = np.array(sorted(completions.values()))
-        total_bytes = sum(j.size_bytes for j in done)
-        makespan = max(j.finish_s for j in done) - min(j.arrival_s for j in done)
+        makespan = max(o.finish_s for o in outcomes) - min(o.start_s for o in outcomes)
         return PolicyOutcome(
             policy=policy,
             mean_completion_s=float(times.mean()),
             p95_completion_s=float(np.percentile(times, 95)),
             makespan_s=makespan,
-            aggregate_gbps=gbps(total_bytes, makespan),
-            migrations=migrations + sum(j.migrations for j in done),
+            aggregate_gbps=gbps(sum(o.bytes_moved for o in outcomes), makespan),
+            migrations=epoch_moves + sum(j.migrations for j in fresh.values()),
             per_stream_completion_s=completions,
             solver_stats=self.session.stats.snapshot(),
         )

@@ -81,7 +81,7 @@ def load_trace(path: str | Path) -> list[StreamJob]:
                         direction=str(data.get("direction", "write")),
                     )
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, ModelError) as exc:
                 raise ModelError(
                     f"malformed trace line {lineno} in {source}: {exc}"
                 ) from exc

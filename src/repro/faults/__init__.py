@@ -8,8 +8,10 @@ The package has three layers:
 * :mod:`repro.faults.plan` — :class:`FaultPlan` (the schedule) and
   :class:`FaultedMachine` (the static what-if view with its own solver
   fingerprint);
-* :mod:`repro.faults.degraded` — the degraded-mode flow simulator:
-  re-route, seeded-backoff retry, or structured failure;
+* :mod:`repro.faults.degraded` — degraded-mode flow simulation: step
+  hooks on the one :class:`~repro.flows.network.FlowLoop` that re-route,
+  park for a seeded-backoff retry, or fail structurally, each flow
+  reporting a :class:`~repro.flows.network.FlowOutcome`;
 * :mod:`repro.faults.chaos` — the seeded chaos scenarios behind the
   ``repro-numa chaos`` CLI and their resilience report;
 * :mod:`repro.faults.execution` — execution-layer faults (crash points,
@@ -27,7 +29,6 @@ from repro.faults.chaos import (
 )
 from repro.faults.degraded import (
     DegradedFlowRunner,
-    DegradedOutcome,
     RetryPolicy,
     machine_rerouter,
     reroute_resources,
@@ -70,7 +71,6 @@ __all__ = [
     "FaultPlan",
     "FaultedMachine",
     "RetryPolicy",
-    "DegradedOutcome",
     "DegradedFlowRunner",
     "reroute_resources",
     "machine_rerouter",

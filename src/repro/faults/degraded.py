@@ -1,10 +1,13 @@
 """Degraded-mode flow simulation: reroute, back off, or fail — structurally.
 
-:class:`~repro.flows.network.FlowNetwork` simulates against a *fixed*
+:meth:`~repro.flows.network.FlowNetwork.simulate` runs against a *fixed*
 capacity map and raises when a flow starves.  Under a
 :class:`~repro.faults.plan.FaultPlan` neither holds: capacities change
-at fault boundaries, and a starved flow is an expected state that the
-runner must handle gracefully:
+at fault boundaries, and a flow whose resources die is an expected
+state that the runner must handle gracefully.  :class:`DegradedFlowRunner`
+runs on the same :class:`~repro.flows.network.FlowLoop`; its step hook
+derates the capacities to the current time, bounds each step by the
+plan's next boundary, and resolves every blocked flow in active order:
 
 1. **re-route** — if a :func:`machine_rerouter` is installed and a path
    avoiding the dead resources survives on the faulted topology, the
@@ -13,94 +16,40 @@ runner must handle gracefully:
    exponential backoff (the fault may recover); a flow that eventually
    completes this way reports ``"recovered"``;
 3. **fail** — once the retry budget is exhausted the flow completes
-   with a structured :class:`DegradedOutcome` of status ``"failed"``
-   (partial bytes, a human-readable reason) instead of raising, so
-   multi-transfer shuffles report partial results.
+   with a structured :class:`~repro.flows.network.FlowOutcome` of status
+   ``"failed"`` (partial bytes, a human-readable reason) instead of
+   raising, so multi-transfer shuffles report partial results.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.errors import RouteLostError, RoutingError, SimulationError
+from repro.errors import RouteLostError, RoutingError
 from repro.faults.plan import FaultedMachine, FaultPlan
 from repro.flows.flow import Flow
+from repro.flows.network import FlowLoop, FlowOutcome
 from repro.interconnect.planes import PLANE_DMA
 from repro.memory.controller import MemoryController
 from repro.obs import recorder as _obs
 from repro.retrying import RetryPolicy
 from repro.solver.capacity import link_resource
 from repro.solver.incremental import AllocationCache
-from repro.units import gbps, gbps_to_bytes_per_s
 
 __all__ = [
     "RetryPolicy",
-    "DegradedOutcome",
     "DegradedFlowRunner",
     "reroute_resources",
     "machine_rerouter",
 ]
 
-_TIME_EPS = 1e-15
 _DEAD_EPS = 1e-12
 
 #: A rerouter maps (flow name, dead resources, time) to a surviving
 #: resource set, or ``None`` when no alternative exists.
 Rerouter = Callable[[str, tuple[str, ...], float], "tuple[str, ...] | None"]
-
-
-@dataclass(frozen=True)
-class DegradedOutcome:
-    """Result of one flow under fault injection.
-
-    ``status`` is one of ``"ok"`` (never disturbed), ``"rerouted"``
-    (continued on an alternative route), ``"recovered"`` (waited out a
-    fault via retries) or ``"failed"`` (retry budget exhausted;
-    ``bytes_moved`` holds the partial progress and ``reason`` says why).
-    """
-
-    name: str
-    bytes_moved: float
-    start_s: float
-    finish_s: float
-    status: str = "ok"
-    reason: str | None = None
-    retries: int = 0
-    reroutes: int = 0
-
-    @property
-    def completed(self) -> bool:
-        """Whether the transfer moved all of its bytes."""
-        return self.status != "failed"
-
-    @property
-    def duration_s(self) -> float:
-        """Wall time from start to completion (or abandonment)."""
-        return self.finish_s - self.start_s
-
-    @property
-    def avg_gbps(self) -> float:
-        """Average bandwidth over the flow's lifetime (0 for instant fails)."""
-        if self.duration_s <= 0:
-            return 0.0
-        return gbps(self.bytes_moved, self.duration_s)
-
-
-class _FlowState:
-    """Mutable bookkeeping for one flow during a degraded run."""
-
-    __slots__ = ("flow", "remaining", "retries", "reroutes", "wake_s")
-
-    def __init__(self, flow: Flow) -> None:
-        self.flow = flow
-        self.remaining = float(flow.size_bytes)  # type: ignore[arg-type]
-        self.retries = 0
-        self.reroutes = 0
-        self.wake_s = 0.0
 
 
 class DegradedFlowRunner:
@@ -145,168 +94,41 @@ class DegradedFlowRunner:
         self._alloc = allocator if allocator is not None else AllocationCache()
         self._stats = stats
 
-    # --- helpers ----------------------------------------------------------
-    def _dead_resources(
-        self, flow: Flow, caps: Mapping[str, float]
-    ) -> tuple[str, ...]:
-        return tuple(r for r in flow.resources if caps.get(r, 0.0) <= _DEAD_EPS)
-
-    def _fail(
-        self, state: _FlowState, now: float, reason: str
-    ) -> DegradedOutcome:
-        flow = state.flow
-        return DegradedOutcome(
-            name=flow.name,
-            bytes_moved=float(flow.size_bytes) - state.remaining,  # type: ignore[arg-type]
-            start_s=flow.start_s,
-            finish_s=now,
-            status="failed",
-            reason=reason,
-            retries=state.retries,
-            reroutes=state.reroutes,
-        )
-
-    def _handle_blocked(
-        self,
-        state: _FlowState,
-        dead: tuple[str, ...],
-        caps: Mapping[str, float],
-        now: float,
-        waiting: dict[str, _FlowState],
-        outcomes: dict[str, DegradedOutcome],
-    ) -> bool:
-        """Resolve one blocked flow; returns True if it stays active."""
-        if self.rerouter is not None:
-            alternative = self.rerouter(state.flow.name, dead, now)
-            if alternative is not None and not any(
-                caps.get(r, 0.0) <= _DEAD_EPS for r in alternative
-            ):
-                state.flow = replace(state.flow, resources=tuple(alternative))
-                state.reroutes += 1
-                _obs.count("faults.reroutes")
-                return True
-        if state.retries >= self.retry.max_retries:
-            outcomes[state.flow.name] = self._fail(
-                state,
-                now,
-                f"resources {sorted(dead)} unavailable after "
-                f"{state.retries} retries",
-            )
-            _obs.count("faults.flows_failed")
-            return False
-        delay = self.retry.delay_s(state.retries, self._rng)
-        state.retries += 1
-        state.wake_s = now + delay
-        waiting[state.flow.name] = state
-        _obs.count("faults.retries")
-        return False
-
-    # --- simulation -------------------------------------------------------
-    def simulate(self, flows: Iterable[Flow]) -> dict[str, DegradedOutcome]:
+    def simulate(self, flows: Iterable[Flow]) -> dict[str, FlowOutcome]:
         """Run finite flows to completion or structured failure."""
         with _obs.span(
             "faults.degraded_run", faults=len(self.plan)
         ):
             _obs.count("faults.injected", len(self.plan))
-            return self._simulate(flows)
+            return FlowLoop(flows, self._step, self._stats).run()
 
-    def _simulate(self, flows: Iterable[Flow]) -> dict[str, DegradedOutcome]:
-        pending = sorted(flows, key=lambda f: (f.start_s, f.name))
-        for f in pending:
-            if f.size_bytes is None:
-                raise SimulationError(
-                    f"flow {f.name!r} has no size; degraded runs are time-domain"
-                )
-        states = {f.name: _FlowState(f) for f in pending}
-        if len(states) != len(pending):
-            raise SimulationError("duplicate flow names in degraded run")
-        active: dict[str, _FlowState] = {}
-        waiting: dict[str, _FlowState] = {}
-        outcomes: dict[str, DegradedOutcome] = {}
-        now = pending[0].start_s if pending else 0.0
-
-        guard = 0
-        while pending or active or waiting:
-            guard += 1
-            if guard > 1_000_000:  # pragma: no cover - safety valve
-                raise SimulationError("degraded flow simulation failed to converge")
-            if self._stats is not None:
-                self._stats.events += 1
-
-            while pending and pending[0].start_s <= now + _TIME_EPS:
-                f = pending.pop(0)
-                active[f.name] = states[f.name]
-            for name in [n for n, s in waiting.items() if s.wake_s <= now + _TIME_EPS]:
-                active[name] = waiting.pop(name)
-
-            caps = self.plan.scaled_capacities(self.capacities, now)
-            # Blocked flows re-route, park for a retry, or fail.
-            for name in list(active):
-                state = active[name]
-                dead = self._dead_resources(state.flow, caps)
-                if dead and not self._handle_blocked(
-                    state, dead, caps, now, waiting, outcomes
-                ):
-                    del active[name]
-
-            if not active:
-                # Jump to the next thing that can change the picture.
-                candidates = []
-                if pending:
-                    candidates.append(pending[0].start_s)
-                if waiting:
-                    candidates.append(min(s.wake_s for s in waiting.values()))
-                if not candidates:
-                    break
-                now = max(now, min(candidates))
+    def _step(self, loop: FlowLoop):
+        """Capacities at ``loop.now``; blocked flows re-route, park or fail."""
+        now = loop.now
+        caps = self.plan.scaled_capacities(self.capacities, now)
+        for name, flow in list(loop.active.items()):
+            dead = tuple(r for r in flow.resources if caps.get(r, 0.0) <= _DEAD_EPS)
+            if not dead:
                 continue
-
-            current = self._alloc.rates(
-                [s.flow for s in active.values()], caps
-            )
-            horizon = pending[0].start_s - now if pending else math.inf
-            if waiting:
-                horizon = min(
-                    horizon, min(s.wake_s for s in waiting.values()) - now
+            if self.rerouter is not None:
+                alternative = self.rerouter(name, dead, now)
+                if alternative is not None and not any(
+                    caps.get(r, 0.0) <= _DEAD_EPS for r in alternative
+                ):
+                    loop.reroute(name, alternative)
+                    _obs.count("faults.reroutes")
+                    continue
+            retries = loop.retries.get(name, 0)
+            if retries >= self.retry.max_retries:
+                loop.fail(
+                    name,
+                    f"resources {sorted(dead)} unavailable after {retries} retries",
                 )
-            boundary = self.plan.next_boundary(now)
-            if boundary is not None:
-                horizon = min(horizon, boundary - now)
-            for name, state in active.items():
-                rate_bps = gbps_to_bytes_per_s(current[name])
-                if rate_bps <= 0:
-                    raise SimulationError(
-                        f"flow {name!r} starved on live resources "
-                        f"{state.flow.resources}"
-                    )
-                horizon = min(horizon, state.remaining / rate_bps)
-            if horizon is math.inf or horizon < 0:
-                raise SimulationError("no progress horizon in degraded simulation")
-
-            for name, state in active.items():
-                state.remaining -= gbps_to_bytes_per_s(current[name]) * horizon
-            now += horizon
-            for name in list(active):
-                state = active[name]
-                size = float(state.flow.size_bytes)  # type: ignore[arg-type]
-                if state.remaining <= max(1.0, 1e-9 * size):
-                    del active[name]
-                    if state.reroutes > 0:
-                        status = "rerouted"
-                    elif state.retries > 0:
-                        status = "recovered"
-                    else:
-                        status = "ok"
-                    outcomes[name] = DegradedOutcome(
-                        name=name,
-                        bytes_moved=size,
-                        start_s=state.flow.start_s,
-                        finish_s=now,
-                        status=status,
-                        retries=state.retries,
-                        reroutes=state.reroutes,
-                    )
-        return outcomes
+                _obs.count("faults.flows_failed")
+            else:
+                loop.park(name, now + self.retry.delay_s(retries, self._rng))
+                _obs.count("faults.retries")
+        return self._alloc.rates(loop.active.values(), caps), self.plan.next_boundary(now)
 
 
 def reroute_resources(

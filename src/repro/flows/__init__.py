@@ -10,10 +10,13 @@ abstraction for long-lived bulk transfers.
 flows through time, recomputing the allocation at every arrival or
 completion, and reports per-flow completion times and average bandwidth
 — exactly the quantity ``fio`` reports for the paper's 400-GB streams.
+It runs on :class:`~repro.flows.network.FlowLoop`, the one event loop
+that the fault runner and the online simulator share too, each with its
+own step hook; every run reports :class:`~repro.flows.network.FlowOutcome`.
 """
 
 from repro.flows.flow import Flow
 from repro.flows.maxmin import maxmin_allocate
-from repro.flows.network import FlowNetwork, FlowOutcome
+from repro.flows.network import FlowLoop, FlowNetwork, FlowOutcome
 
-__all__ = ["Flow", "maxmin_allocate", "FlowNetwork", "FlowOutcome"]
+__all__ = ["Flow", "maxmin_allocate", "FlowLoop", "FlowNetwork", "FlowOutcome"]

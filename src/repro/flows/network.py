@@ -1,11 +1,20 @@
-"""Time-domain flow simulation.
+"""Time-domain flow simulation: the one event loop.
 
 Long benchmarks (fio's 400-GB-per-stream transfers) are simulated by
-recomputing the max-min allocation at every *rate-change event* — a flow
-arriving or completing — and integrating bytes between events.  With
-identical, simultaneous streams the allocation is constant and the loop
-converges in one step; with staggered or mixed workloads the piecewise-
-constant rate profile is captured exactly.  Allocations go through an
+recomputing rates at every *rate-change event* — a flow arriving or
+completing, or a boundary the caller names (a fault window, a migration
+epoch, the end of a stall) — and integrating bytes between events.
+With identical, simultaneous streams the allocation is constant and the
+loop converges in one step; with staggered or mixed workloads the
+piecewise-constant rate profile is captured exactly.
+
+:class:`FlowLoop` is that loop, and every time-domain simulation in the
+library runs on it: :meth:`FlowNetwork.simulate` (max-min rates on fixed
+capacities), :class:`~repro.faults.degraded.DegradedFlowRunner` (rates
+on fault-derated capacities, with blocked flows re-routed, parked or
+failed) and :class:`~repro.core.migration.OnlineSimulator` (placement,
+migration epochs and stalls).  They differ only in the step hook they
+pass.  :class:`FlowNetwork` allocates through an
 :class:`~repro.solver.incremental.AllocationCache`, so the loop only
 solves cold when the active-flow *multiset* is one it has not seen.
 """
@@ -13,37 +22,205 @@ solves cold when the active-flow *multiset* is one it has not seen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Mapping
 
 from repro.errors import SimulationError
 from repro.flows.flow import Flow
 from repro.solver.incremental import AllocationCache
 from repro.units import gbps, gbps_to_bytes_per_s
 
-__all__ = ["FlowOutcome", "FlowNetwork"]
+__all__ = ["FlowOutcome", "FlowLoop", "FlowNetwork"]
 
 _TIME_EPS = 1e-15
+
+#: A step hook receives the loop at the start of a step (``loop.now``,
+#: ``loop.active``) and returns the running flows' rates in Gbps plus
+#: the caller's next boundary (an absolute time, or ``None``).  Active
+#: flows absent from the rate map are paused for the step.  The hook may
+#: :meth:`~FlowLoop.park`, :meth:`~FlowLoop.fail` or
+#: :meth:`~FlowLoop.reroute` active flows before it answers.
+StepHook = Callable[["FlowLoop"], "tuple[Mapping[str, float], float | None]"]
 
 
 @dataclass(frozen=True)
 class FlowOutcome:
-    """Result of one flow's transfer."""
+    """Result of one flow's transfer.
+
+    ``status`` is one of ``"ok"`` (never disturbed), ``"rerouted"``
+    (continued on an alternative route), ``"recovered"`` (waited out a
+    fault in parked retries) or ``"failed"`` (gave up; ``bytes_moved``
+    holds the partial progress and ``reason`` says why).
+    """
 
     name: str
     bytes_moved: float
     start_s: float
     finish_s: float
+    status: str = "ok"
+    reason: str | None = None
+    retries: int = 0
+    reroutes: int = 0
+
+    @property
+    def completed(self) -> bool:
+        """Whether the transfer moved all of its bytes."""
+        return self.status != "failed"
 
     @property
     def duration_s(self) -> float:
-        """Transfer duration in seconds."""
+        """Wall time from start to completion (or abandonment)."""
         return self.finish_s - self.start_s
 
     @property
     def avg_gbps(self) -> float:
-        """Average bandwidth over the flow's lifetime."""
-        return gbps(self.bytes_moved, self.duration_s)
+        """Average bandwidth over the flow's lifetime (0 for a zero-length one)."""
+        duration = self.finish_s - self.start_s
+        if duration <= 0:
+            return 0.0
+        return gbps(self.bytes_moved, duration)
+
+
+class FlowLoop:
+    """The piecewise-constant event loop over finite flows.
+
+    Each step admits the flows whose ``start_s`` has come, in
+    ``(start_s, name)`` order, and wakes parked flows whose wake time has
+    come; both re-enter at the end of the active order.  It then asks the
+    step hook for rates.  The step lasts until the next arrival, the next
+    wake, the hook's boundary or the earliest completion, whichever comes
+    first; a flow retires once no more than one byte, or a billionth of
+    its size if that is larger, remains.  A flow that runs at a rate of
+    zero raises :class:`~repro.errors.SimulationError`.  While nothing is
+    active the clock jumps to the next arrival or wake.
+
+    Parameters
+    ----------
+    flows:
+        Uniquely named flows, each carrying ``size_bytes``.
+    step:
+        The caller's :data:`StepHook`.
+    stats:
+        Optional :class:`~repro.obs.stats.SolverStats`; every step counts
+        one ``events``.
+    """
+
+    def __init__(self, flows: Iterable[Flow], step: StepHook, stats=None) -> None:
+        pending = sorted(flows, key=lambda f: (f.start_s, f.name))
+        for f in pending:
+            if f.size_bytes is None:
+                raise SimulationError(f"flow {f.name!r} has no size; use rates() instead")
+        self._remaining = {f.name: float(f.size_bytes) for f in pending}  # type: ignore[arg-type]
+        if len(self._remaining) != len(pending):
+            names = [f.name for f in pending]
+            raise SimulationError(
+                "duplicate flow names in simulation: "
+                f"{sorted({n for n in names if names.count(n) > 1})}"
+            )
+        self._pending = deque(pending)
+        self._step = step
+        self._stats = stats
+        self._parked: dict[str, tuple[Flow, float]] = {}
+        #: The simulated clock, in seconds.
+        self.now = pending[0].start_s if pending else 0.0
+        #: Admitted flows still transferring, in active order.
+        self.active: dict[str, Flow] = {}
+        #: Times each flow has been parked.
+        self.retries: dict[str, int] = {}
+        self._reroutes: dict[str, int] = {}
+        self._outcomes: dict[str, FlowOutcome] = {}
+
+    # --- actions for step hooks -------------------------------------------
+    def reached(self, t: float) -> bool:
+        """Whether time ``t`` has come, by the rule that admits arrivals."""
+        return t <= self.now + _TIME_EPS
+
+    def park(self, name: str, wake_s: float) -> None:
+        """Take an active flow out until ``wake_s`` (one retry)."""
+        self._parked[name] = (self.active.pop(name), wake_s)
+        self.retries[name] = self.retries.get(name, 0) + 1
+
+    def fail(self, name: str, reason: str) -> None:
+        """Retire an active flow now, with the bytes it has moved so far."""
+        flow = self.active.pop(name)
+        moved = float(flow.size_bytes) - self._remaining[name]  # type: ignore[arg-type]
+        self._outcomes[name] = self._outcome(flow, moved, reason)
+
+    def reroute(self, name: str, resources: Iterable[str]) -> None:
+        """Move an active flow onto ``resources``; it keeps its place."""
+        self.active[name] = replace(self.active[name], resources=tuple(resources))
+        self._reroutes[name] = self._reroutes.get(name, 0) + 1
+
+    # --- the loop ---------------------------------------------------------
+    def run(self) -> dict[str, FlowOutcome]:
+        """Run every flow to completion or failure; outcomes in finish order."""
+        pending, parked, active = self._pending, self._parked, self.active
+        remaining, outcomes, stats = self._remaining, self._outcomes, self._stats
+        guard = 0
+        while pending or active or parked:
+            guard += 1
+            if guard > 1_000_000:  # pragma: no cover - safety valve
+                raise SimulationError("flow simulation failed to converge")
+            if stats is not None:
+                stats.events += 1
+            now = self.now
+            due = now + _TIME_EPS
+            while pending and pending[0].start_s <= due:
+                f = pending.popleft()
+                active[f.name] = f
+            if parked:
+                for name in [n for n, (_, wake) in parked.items() if wake <= due]:
+                    active[name] = parked.pop(name)[0]
+            if active:
+                rates, boundary = self._step(self)
+
+            # The next arrival or wake bounds the step, or ends an idle one.
+            t = pending[0].start_s if pending else math.inf
+            if parked:
+                t = min(t, min(wake for _, wake in parked.values()))
+            if not active:
+                if t != math.inf:
+                    self.now = max(now, t)
+                continue
+            if boundary is not None:
+                t = min(t, boundary)
+            horizon = t - now
+            for name, rate in rates.items():
+                rate_bps = gbps_to_bytes_per_s(rate)
+                if rate_bps <= 0:
+                    raise SimulationError(
+                        f"flow {name!r} starved (rate 0); resource set "
+                        f"{active[name].resources} cannot progress"
+                    )
+                horizon = min(horizon, remaining[name] / rate_bps)
+            if horizon == math.inf or horizon < 0:
+                raise SimulationError("no progress horizon in flow simulation")
+
+            for name, rate in rates.items():
+                remaining[name] -= gbps_to_bytes_per_s(rate) * horizon
+            self.now = now + horizon
+            for name in list(active):
+                if remaining[name] <= max(1.0, 1e-9 * active[name].size_bytes):  # type: ignore[operator]
+                    f = active.pop(name)
+                    outcomes[name] = self._outcome(f, float(f.size_bytes))  # type: ignore[arg-type]
+        return outcomes
+
+    def _outcome(self, flow: Flow, moved: float, reason: str | None = None) -> FlowOutcome:
+        name = flow.name
+        retries = self.retries.get(name, 0)
+        reroutes = self._reroutes.get(name, 0)
+        if reason is not None:
+            status = "failed"
+        elif reroutes:
+            status = "rerouted"
+        elif retries:
+            status = "recovered"
+        else:
+            status = "ok"
+        return FlowOutcome(
+            name, moved, flow.start_s, self.now, status, reason, retries, reroutes
+        )
 
 
 class FlowNetwork:
@@ -79,64 +256,17 @@ class FlowNetwork:
         return self._allocator.rates(flows, self.capacities)
 
     def simulate(self, flows: Iterable[Flow]) -> dict[str, FlowOutcome]:
-        """Run finite flows to completion; returns per-flow outcomes.
+        """Run finite flows to completion; outcomes in finish order.
 
-        Every flow must carry ``size_bytes``.  Arrival times come from
-        ``flow.start_s``.
+        Every flow must carry ``size_bytes`` and a unique name.  Arrival
+        times come from ``flow.start_s``.
         """
-        pending = sorted(flows, key=lambda f: (f.start_s, f.name))
-        for f in pending:
-            if f.size_bytes is None:
-                raise SimulationError(f"flow {f.name!r} has no size; use rates() instead")
-        remaining = {f.name: float(f.size_bytes) for f in pending}  # type: ignore[arg-type]
-        outcomes: dict[str, FlowOutcome] = {}
-        active: dict[str, Flow] = {}
-        now = 0.0
-        if pending:
-            now = pending[0].start_s
-
-        guard = 0
-        while pending or active:
-            guard += 1
-            if guard > 1_000_000:  # pragma: no cover - safety valve
-                raise SimulationError("flow simulation failed to converge")
-            if self._stats is not None:
-                self._stats.events += 1
-            while pending and pending[0].start_s <= now + _TIME_EPS:
-                f = pending.pop(0)
-                active[f.name] = f
-            if not active:
-                now = pending[0].start_s
-                continue
-
-            current = self._allocator.rates(active.values(), self.capacities)
-            # Horizon: next arrival or earliest completion at current rates.
-            horizon = pending[0].start_s - now if pending else math.inf
-            for name, f in active.items():
-                rate_bps = gbps_to_bytes_per_s(current[name])
-                if rate_bps <= 0:
-                    raise SimulationError(
-                        f"flow {name!r} starved (rate 0); resource set "
-                        f"{f.resources} cannot progress"
-                    )
-                horizon = min(horizon, remaining[name] / rate_bps)
-            if horizon is math.inf or horizon < 0:
-                raise SimulationError("no progress horizon in flow simulation")
-
-            for name in list(active):
-                moved = gbps_to_bytes_per_s(current[name]) * horizon
-                remaining[name] -= moved
-            now += horizon
-            for name in list(active):
-                if remaining[name] <= max(1.0, 1e-9 * active[name].size_bytes):  # type: ignore[operator]
-                    f = active.pop(name)
-                    outcomes[name] = FlowOutcome(
-                        name=name,
-                        bytes_moved=float(f.size_bytes),  # type: ignore[arg-type]
-                        start_s=f.start_s,
-                        finish_s=now,
-                    )
-        return outcomes
+        allocator, capacities = self._allocator, self.capacities
+        return FlowLoop(
+            flows,
+            lambda loop: (allocator.rates(loop.active.values(), capacities), None),
+            self._stats,
+        ).run()
 
     def aggregate_gbps(self, outcomes: dict[str, FlowOutcome]) -> float:
         """Aggregate average bandwidth: total bytes over the busy interval.

@@ -52,8 +52,11 @@ class SolverStats:
     cache_hits / cache_misses:
         Allocation-cache lookups served from memory vs solved cold.
     events:
-        Piecewise-constant simulation events processed (arrival /
-        completion steps of :meth:`repro.flows.network.FlowNetwork.simulate`).
+        Steps of the piecewise-constant event loop
+        (:class:`repro.flows.network.FlowLoop`), idle jumps included,
+        in runs that count into these stats: one per step of
+        :meth:`~repro.flows.network.FlowNetwork.simulate` and of the
+        fault runner.  The online simulator counts none.
     capacity_builds / capacity_hits:
         Machine capacity-map constructions vs cached reuses.
     path_hits / path_misses:

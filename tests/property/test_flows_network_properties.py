@@ -1,12 +1,27 @@
-"""Property-based tests for the time-domain flow simulation."""
+"""Property-based tests for the time-domain flow simulation.
+
+:class:`~repro.flows.network.FlowLoop` is the one event loop behind
+``FlowNetwork.simulate``, the fault runner and the online simulator.
+``FlowNetwork.simulate`` and an empty-plan ``DegradedFlowRunner`` must
+stay bit-identical to the stand-alone loop ``FlowNetwork.simulate`` ran
+before the loops merged, frozen below as the reference: the same
+outcomes in the same (finish) order, equal by ``float.hex``, after the
+same number of events.
+"""
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import math
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
+from repro.faults.degraded import DegradedFlowRunner
 from repro.flows.flow import Flow
-from repro.flows.network import FlowNetwork
+from repro.flows.network import FlowNetwork, FlowOutcome
+from repro.obs.stats import SolverStats
+from repro.solver.incremental import AllocationCache
 from repro.units import GB, gbps_to_bytes_per_s
 
 
@@ -63,3 +78,142 @@ def test_finish_no_earlier_than_solo_transfer(scenario):
         solo_duration = f.size_bytes / gbps_to_bytes_per_s(solo_rate)
         o = outcomes[f.name]
         assert o.duration_s >= solo_duration * (1 - 1e-6)
+
+
+def _reference_simulate(allocator, capacities, stats, flows):
+    """``FlowNetwork.simulate``'s body before the loops merged, verbatim."""
+    pending = sorted(flows, key=lambda f: (f.start_s, f.name))
+    for f in pending:
+        if f.size_bytes is None:
+            raise SimulationError(f"flow {f.name!r} has no size; use rates() instead")
+    remaining = {f.name: float(f.size_bytes) for f in pending}  # type: ignore[arg-type]
+    outcomes: dict[str, FlowOutcome] = {}
+    active: dict[str, Flow] = {}
+    now = 0.0
+    if pending:
+        now = pending[0].start_s
+
+    guard = 0
+    while pending or active:
+        guard += 1
+        if guard > 1_000_000:  # pragma: no cover - safety valve
+            raise SimulationError("flow simulation failed to converge")
+        if stats is not None:
+            stats.events += 1
+        while pending and pending[0].start_s <= now + 1e-15:
+            f = pending.pop(0)
+            active[f.name] = f
+        if not active:
+            now = pending[0].start_s
+            continue
+
+        current = allocator.rates(active.values(), capacities)
+        # Horizon: next arrival or earliest completion at current rates.
+        horizon = pending[0].start_s - now if pending else math.inf
+        for name, f in active.items():
+            rate_bps = gbps_to_bytes_per_s(current[name])
+            if rate_bps <= 0:
+                raise SimulationError(
+                    f"flow {name!r} starved (rate 0); resource set "
+                    f"{f.resources} cannot progress"
+                )
+            horizon = min(horizon, remaining[name] / rate_bps)
+        if horizon is math.inf or horizon < 0:
+            raise SimulationError("no progress horizon in flow simulation")
+
+        for name in list(active):
+            moved = gbps_to_bytes_per_s(current[name]) * horizon
+            remaining[name] -= moved
+        now += horizon
+        for name in list(active):
+            if remaining[name] <= max(1.0, 1e-9 * active[name].size_bytes):  # type: ignore[operator]
+                f = active.pop(name)
+                outcomes[name] = FlowOutcome(
+                    name=name,
+                    bytes_moved=float(f.size_bytes),  # type: ignore[arg-type]
+                    start_s=f.start_s,
+                    finish_s=now,
+                )
+    return outcomes
+
+
+RESOURCES = ["r0", "r1", "r2"]
+
+
+@st.composite
+def timed_problems(draw):
+    """1-16 flows on subsets of 1-3 resources; equal and staggered starts."""
+    names = RESOURCES[:draw(st.integers(min_value=1, max_value=3))]
+    caps = {
+        r: draw(st.floats(min_value=0.5, max_value=40.0, allow_nan=False))
+        for r in names
+    }
+    # Flows draw their start from a small pool, so some start together;
+    # starts reach 1e4 s, where 1e-15 is below one ulp of the clock.
+    starts = draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+        min_size=1, max_size=4,
+    ))
+    flows = []
+    for i in range(draw(st.integers(min_value=1, max_value=16))):
+        subset = draw(st.sets(st.sampled_from(names), min_size=1))
+        demand = draw(st.one_of(
+            st.just(math.inf),
+            st.floats(min_value=0.1, max_value=30.0, allow_nan=False),
+        ))
+        flows.append(Flow(
+            name=f"f{i}",
+            resources=tuple(sorted(subset)),
+            demand_gbps=demand,
+            size_bytes=draw(st.floats(min_value=1e6, max_value=4e11)),
+            start_s=draw(st.sampled_from(starts)),
+        ))
+    return flows, caps
+
+
+def _hex(outcomes):
+    return [
+        (o.name, o.bytes_moved.hex(), o.start_s.hex(), o.finish_s.hex(),
+         o.status, o.reason, o.retries, o.reroutes)
+        for o in outcomes.values()
+    ]
+
+
+def _reference(flows, caps):
+    stats = SolverStats()
+    outcomes = _reference_simulate(AllocationCache(), dict(caps), stats, flows)
+    return _hex(outcomes), stats.events
+
+
+#: The clock reaches f1's arrival one ulp (7e-15 s) short.  The loop's
+#: 1e-15 s tolerance takes one more tiny step before admitting it; a
+#: 1e-12 s tolerance would admit it at once, one event fewer.
+_TOLERANCE_PROBE = (
+    [
+        Flow(name="f0", resources=("r0",), demand_gbps=19.0114588340201,
+             size_bytes=400e9, start_s=3.1006697393176132),
+        Flow(name="f1", resources=("r0",), demand_gbps=11.826872135430424,
+             size_bytes=33e9, start_s=41.382453864875565),
+    ],
+    {"r0": 8.0},
+)
+
+
+@given(timed_problems())
+@example(_TOLERANCE_PROBE)
+@settings(max_examples=200, deadline=None)
+def test_simulate_matches_frozen_loop(problem):
+    flows, caps = problem
+    stats = SolverStats()
+    outcomes = FlowNetwork(caps, stats=stats).simulate(flows)
+    assert (_hex(outcomes), stats.events) == _reference(flows, caps)
+
+
+@given(timed_problems())
+@example(_TOLERANCE_PROBE)
+@settings(max_examples=200, deadline=None)
+def test_empty_plan_runner_matches_frozen_loop(problem):
+    flows, caps = problem
+    stats = SolverStats()
+    outcomes = DegradedFlowRunner(caps, stats=stats).simulate(flows)
+    assert (_hex(outcomes), stats.events) == _reference(flows, caps)

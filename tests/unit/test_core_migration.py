@@ -1,5 +1,7 @@
 """Online placement and migration."""
 
+import math
+
 import pytest
 
 from repro.core.iomodel import IOModelBuilder
@@ -42,6 +44,16 @@ class TestStreamJob:
     def test_bad_direction_rejected(self):
         with pytest.raises(ModelError):
             StreamJob(name="j", arrival_s=0.0, size_bytes=GB, direction="up")
+
+    @pytest.mark.parametrize("arrival", [math.inf, math.nan, -1.0])
+    def test_non_finite_or_negative_arrival_rejected(self, arrival):
+        with pytest.raises(ModelError, match="stream 'j': arrival"):
+            StreamJob(name="j", arrival_s=arrival, size_bytes=GB)
+
+    @pytest.mark.parametrize("size", [math.inf, math.nan])
+    def test_non_finite_size_rejected(self, size):
+        with pytest.raises(ModelError, match="stream 'j': size"):
+            StreamJob(name="j", arrival_s=0.0, size_bytes=size)
 
 
 class TestWorkload:

@@ -68,6 +68,23 @@ class TestValidation:
         with pytest.raises(ModelError, match="line 4"):
             load_trace(path)
 
+    @pytest.mark.parametrize("arrival, size", [
+        ("Infinity", "1e9"),
+        ("NaN", "1e9"),
+        ("-1.0", "1e9"),
+        ("0.0", "Infinity"),
+        ("0.0", "NaN"),
+    ])
+    def test_bad_number_reports_position(self, tmp_path, arrival, size):
+        path = tmp_path / "bad.trace"
+        path.write_text(
+            '{"format_version": 1, "streams": 1}\n'
+            f'{{"name": "s0", "arrival_s": {arrival}, "size_bytes": {size}}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ModelError, match="line 2 .*stream 's0'"):
+            load_trace(path)
+
     def test_duplicate_names_rejected(self, jobs, tmp_path):
         path = tmp_path / "dup.trace"
         save_trace([jobs[0], jobs[0]], path)

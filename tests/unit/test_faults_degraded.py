@@ -34,11 +34,9 @@ class TestHealthyEquivalence:
         ]
         degraded = DegradedFlowRunner(capacities).simulate(flows)
         healthy = FlowNetwork(capacities).simulate(flows)
-        for name, outcome in healthy.items():
-            assert degraded[name].status == "ok"
-            assert degraded[name].retries == 0
-            assert degraded[name].finish_s == pytest.approx(outcome.finish_s)
-            assert degraded[name].bytes_moved == pytest.approx(outcome.bytes_moved)
+        # Same outcomes, exactly, in the same (finish) order.
+        assert list(degraded.items()) == list(healthy.items())
+        assert all(o.status == "ok" and o.retries == 0 for o in degraded.values())
 
 
 class TestRetry:

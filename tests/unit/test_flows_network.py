@@ -51,6 +51,15 @@ class TestSimulate:
         assert out["late"].start_s == 100.0
         assert out["late"].finish_s == pytest.approx(102.0)
 
+    def test_duplicate_names_rejected(self):
+        # A second "f" must not silently replace the first one's transfer.
+        net = FlowNetwork({"r": 8.0})
+        with pytest.raises(SimulationError, match="duplicate flow names"):
+            net.simulate([
+                Flow(name="f", resources=("r",), size_bytes=1e9, start_s=0.0),
+                Flow(name="f", resources=("r",), size_bytes=3e9, start_s=0.5),
+            ])
+
     def test_requires_sizes(self):
         net = FlowNetwork({"r": 1.0})
         with pytest.raises(SimulationError):

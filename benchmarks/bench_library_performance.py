@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench.stream import StreamBenchmark
 from repro.core.iomodel import IOModelBuilder
+from repro.core.migration import OnlineSimulator, OnlineWorkload
 from repro.flows.flow import Flow
 from repro.flows.maxmin import maxmin_allocate
 from repro.flows.network import FlowNetwork
@@ -64,9 +65,11 @@ def test_perf_cold_solve_device_streams(benchmark):
     """Cold max-min solves: 16 streams with distinct demands on one device.
 
     The fio event-loop shape.  Demands straddle the fair share, so the
-    streams finish in waves and every wave re-solves the allocation; a
-    fresh cache per round keeps each solve cold (the staggered bench
-    above keeps one cache across rounds and so measures hits).
+    streams finish in waves and every wave re-solves the allocation.
+    Every stream crosses the one device resource at weight 1, so each
+    wave is a ``water_fill`` sweep and the allocation cache is never
+    consulted; the fresh cache per round only keeps the call the same
+    as when this shape went through it.
     """
     flows = [
         Flow(name=f"s{i}", resources=("dev",), demand_gbps=0.5 + 0.25 * i,
@@ -80,6 +83,23 @@ def test_perf_cold_solve_device_streams(benchmark):
 
     outcomes = benchmark(simulate)
     assert len(outcomes) == 16
+
+
+def test_perf_online_class_migrate(benchmark):
+    """The fw1 shape: 60 RDMA_WRITE streams under the class-migrate policy.
+
+    Poisson arrivals at 0.12/s queue up on the NIC; every arrival,
+    completion, 20 s migration epoch and stall end re-rates the running
+    streams through ``SolverSession.shared_rates``.
+    """
+    host = reference_host()
+    model = IOModelBuilder(host, registry=RngRegistry(), runs=10).build(7, "write")
+    registry = RngRegistry()
+    jobs = OnlineWorkload(registry.child("fw1"), rate_per_s=0.12).generate(60)
+    simulator = OnlineSimulator(host, model, registry=registry.child("sim"))
+
+    outcome = benchmark(simulator.run, jobs, "class-migrate")
+    assert outcome.migrations > 0
 
 
 def test_perf_routing_all_pairs_32_nodes(benchmark, blade):

@@ -276,8 +276,7 @@ class OnlineSimulator:
         levels = [by_direction[j.direction][i] for i, j in enumerate(running)]
         n = len(running)
         ways = max(1.0, n / self.device.dma.contexts)
-        resource = self._resource
-        flows = []
+        demands = []
         for j, level in zip(running, levels):
             profile = self.profiles[j.direction]
             demand = level / ways
@@ -285,9 +284,11 @@ class OnlineSimulator:
                 demand = min(demand, profile.per_stream_cap_gbps)
             if profile.cpu_gbps_per_stream is not None:
                 demand = min(demand, profile.cpu_gbps_per_stream)
-            flows.append(Flow(name=j.name, resources=(resource,), demand_gbps=demand))
+            demands.append(demand)
         agg = sum(levels) / len(levels)
-        return self.session.rates(flows, {resource: agg})
+        return self.session.shared_rates(
+            [j.name for j in running], demands, self._resource, agg
+        )
 
     # --- the event loop ---------------------------------------------------
     def run(self, jobs: list[StreamJob], policy: str) -> PolicyOutcome:

@@ -14,9 +14,16 @@ capacities), :class:`~repro.faults.degraded.DegradedFlowRunner` (rates
 on fault-derated capacities, with blocked flows re-routed, parked or
 failed) and :class:`~repro.core.migration.OnlineSimulator` (placement,
 migration epochs and stalls).  They differ only in the step hook they
-pass.  :class:`FlowNetwork` allocates through an
+pass.
+
+:class:`FlowNetwork` rates come from one of two hooks, chosen once per
+``simulate`` call.  When every flow crosses the same single resource
+at weight 1 (the fio engines' ``dev:<device>:<direction>``), each step
+is one :func:`~repro.solver.incremental.water_fill` sweep over the
+active demands.  Any other problem allocates through an
 :class:`~repro.solver.incremental.AllocationCache`, so the loop only
 solves cold when the active-flow *multiset* is one it has not seen.
+Both give the same floats.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Callable, Iterable, Mapping
 
 from repro.errors import SimulationError
 from repro.flows.flow import Flow
-from repro.solver.incremental import AllocationCache
+from repro.solver.incremental import AllocationCache, water_fill
 from repro.units import gbps, gbps_to_bytes_per_s
 
 __all__ = ["FlowOutcome", "FlowLoop", "FlowNetwork"]
@@ -112,6 +119,8 @@ class FlowLoop:
             if f.size_bytes is None:
                 raise SimulationError(f"flow {f.name!r} has no size; use rates() instead")
         self._remaining = {f.name: float(f.size_bytes) for f in pending}  # type: ignore[arg-type]
+        #: Bytes left at which each flow retires.
+        self._done = {f.name: max(1.0, 1e-9 * f.size_bytes) for f in pending}  # type: ignore[operator]
         if len(self._remaining) != len(pending):
             names = [f.name for f in pending]
             raise SimulationError(
@@ -157,6 +166,7 @@ class FlowLoop:
         """Run every flow to completion or failure; outcomes in finish order."""
         pending, parked, active = self._pending, self._parked, self.active
         remaining, outcomes, stats = self._remaining, self._outcomes, self._stats
+        done = self._done
         guard = 0
         while pending or active or parked:
             guard += 1
@@ -186,6 +196,7 @@ class FlowLoop:
             if boundary is not None:
                 t = min(t, boundary)
             horizon = t - now
+            speeds = []
             for name, rate in rates.items():
                 rate_bps = gbps_to_bytes_per_s(rate)
                 if rate_bps <= 0:
@@ -193,15 +204,18 @@ class FlowLoop:
                         f"flow {name!r} starved (rate 0); resource set "
                         f"{active[name].resources} cannot progress"
                     )
-                horizon = min(horizon, remaining[name] / rate_bps)
+                left = remaining[name] / rate_bps
+                if left < horizon:
+                    horizon = left
+                speeds.append((name, rate_bps))
             if horizon == math.inf or horizon < 0:
                 raise SimulationError("no progress horizon in flow simulation")
 
-            for name, rate in rates.items():
-                remaining[name] -= gbps_to_bytes_per_s(rate) * horizon
+            for name, rate_bps in speeds:
+                remaining[name] -= rate_bps * horizon
             self.now = now + horizon
             for name in list(active):
-                if remaining[name] <= max(1.0, 1e-9 * active[name].size_bytes):  # type: ignore[operator]
+                if remaining[name] <= done[name]:
                     f = active.pop(name)
                     outcomes[name] = self._outcome(f, float(f.size_bytes))  # type: ignore[arg-type]
         return outcomes
@@ -259,14 +273,32 @@ class FlowNetwork:
         """Run finite flows to completion; outcomes in finish order.
 
         Every flow must carry ``size_bytes`` and a unique name.  Arrival
-        times come from ``flow.start_s``.
+        times come from ``flow.start_s``.  When every flow crosses the
+        same single resource at weight 1, and that resource has a
+        positive capacity, each step is one
+        :func:`~repro.solver.incremental.water_fill` sweep (one
+        ``solves`` in the allocator's stats, no cache lookup); any other
+        problem goes through the allocation cache.
         """
+        flows = list(flows)
         allocator, capacities = self._allocator, self.capacities
-        return FlowLoop(
-            flows,
-            lambda loop: (allocator.rates(loop.active.values(), capacities), None),
-            self._stats,
-        ).run()
+        resource = _shared_resource(flows, capacities)
+        if resource is None:
+            def step(loop: FlowLoop):
+                return allocator.rates(loop.active.values(), capacities), None
+        else:
+            capacity = capacities[resource]
+            demand = {f.name: f.demand_gbps for f in flows}
+            stats = allocator.stats
+
+            def step(loop: FlowLoop):
+                active = loop.active
+                if stats is not None:
+                    stats.solves += 1
+                rates = water_fill([demand[name] for name in active], capacity)
+                return dict(zip(active, rates)), None
+
+        return FlowLoop(flows, step, self._stats).run()
 
     def aggregate_gbps(self, outcomes: dict[str, FlowOutcome]) -> float:
         """Aggregate average bandwidth: total bytes over the busy interval.
@@ -280,3 +312,24 @@ class FlowNetwork:
         start = min(o.start_s for o in outcomes.values())
         finish = max(o.finish_s for o in outcomes.values())
         return gbps(total, finish - start)
+
+
+def _shared_resource(flows: list[Flow], capacities: Mapping[str, float]) -> str | None:
+    """The one resource every flow crosses alone at weight 1, if any.
+
+    ``None`` unless that resource is in ``capacities`` with a positive
+    capacity, so every input the allocation cache would reject keeps
+    the cache's checks and messages.
+    """
+    resource = None
+    for f in flows:
+        if f.weight != 1.0 or len(f.resources) != 1:
+            return None
+        (r,) = f.resources
+        if resource is None:
+            resource = r
+        elif r != resource:
+            return None
+    if resource is None or not capacities.get(resource, 0.0) > 0:
+        return None
+    return resource

@@ -48,7 +48,11 @@ class SolverStats:
     Attributes
     ----------
     solves:
-        Cold max-min solves actually executed.
+        Cold max-min solves actually executed: cache misses, closed-form
+        ``equal_shares`` problems and one-resource ``water_fill``
+        sweeps.  The last two make no cache lookup, so a run whose
+        problems all cross one resource (``repro-numa stats --workload
+        fio --target 0``) counts solves with ``0/0`` hits/misses.
     cache_hits / cache_misses:
         Allocation-cache lookups served from memory vs solved cold.
     events:

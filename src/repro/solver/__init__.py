@@ -15,7 +15,10 @@ once for everyone:
   array formulation on weight-1 problems, within 1e-9 of
   :func:`~repro.flows.maxmin.maxmin_allocate` on any), plus a closed
   form for problems that are one group of identical flows
-  (:meth:`~repro.solver.session.SolverSession.equal_shares`);
+  (:meth:`~repro.solver.session.SolverSession.equal_shares`) and a
+  sweep for weight-1 flows sharing one resource
+  (:func:`~repro.solver.incremental.water_fill`, the same floats as the
+  cold solve without a cache lookup);
 * a **stats surface** (:class:`~repro.solver.stats.SolverStats`)
   counting solves, cache hits/misses, simulation events and per-phase
   wall time, exposed on engine results and via ``repro-numa stats``.
@@ -32,6 +35,7 @@ __all__ = [
     "SolverSession",
     "SolverStats",
     "AllocationCache",
+    "water_fill",
     "get_session",
     "reset_sessions",
     "build_capacities",
@@ -46,6 +50,7 @@ _LAZY = {
     "reset_sessions": ("repro.solver.session", "reset_sessions"),
     "SolverStats": ("repro.solver.stats", "SolverStats"),
     "AllocationCache": ("repro.solver.incremental", "AllocationCache"),
+    "water_fill": ("repro.solver.incremental", "water_fill"),
     "build_capacities": ("repro.solver.capacity", "build_capacities"),
     "machine_fingerprint": ("repro.solver.capacity", "machine_fingerprint"),
     "link_resource": ("repro.solver.capacity", "link_resource"),

@@ -15,6 +15,13 @@ Two observations make the simulation hot path cheap:
    re-pose the same allocation problem per sample.  Results are memoized
    by (signature multiset, used-capacity items) in an LRU map.
 
+Most problems the library poses are n weight-1 streams sharing one
+device.  There every active group holds the same rate, so the rounds
+collapse to a sweep over the sorted distinct demands:
+:func:`water_fill` runs it with the same IEEE operations as the cold
+solve, without flows, signatures or a memo key, and is cheaper than a
+cache hit.
+
 The semantics are those of :func:`repro.flows.maxmin.maxmin_allocate`:
 the property suite asserts agreement within 1e-9 on any problem, and
 bit-identity with an array (numpy) formulation of the same rounds on
@@ -30,11 +37,11 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import SimulationError
 
-__all__ = ["AllocationCache", "flow_signature"]
+__all__ = ["AllocationCache", "flow_signature", "water_fill"]
 
 _EPS = 1e-12
 
@@ -217,3 +224,64 @@ def _solve_groups(
         active = still_active
 
     return dict(zip(sigs, rates))
+
+
+def water_fill(demands: Sequence[float], capacity: float) -> list[float]:
+    """Max-min rates of weight-1 flows that all cross one resource.
+
+    ``demands`` are the flows' rate ceilings (``inf`` for elastic ones)
+    and ``capacity`` the resource's; returns each flow's rate, in input
+    order.  This is :func:`_solve_groups` on one resource, round for
+    round and float for float.  Every active group holds the same rate
+    ``r``, and ``load``, the active flow count, is exact as a float.
+    Each round raises ``r`` by ``min(remaining / load, d_min - r)``
+    (never below 0), where ``d_min`` is the lowest active demand, and
+    takes ``increment * load`` off ``remaining``.  A saturated resource
+    freezes every active flow; otherwise the flows within ``_EPS`` of
+    their demand freeze, always a prefix of the sorted demands.  A NaN
+    demand cannot be sorted, so such a problem goes to
+    :func:`_solve_groups` itself.
+
+    The caller validates the problem as :meth:`AllocationCache.rates`
+    would (positive capacity, positive demands).
+    """
+    ordered = sorted(demands)
+    total = sum(ordered)
+    if total != total:  # a NaN demand
+        signatures = [(("",), float(d), 1.0) for d in demands]
+        per_signature = _solve_groups(signatures, {"": float(capacity)})
+        return [per_signature[sig] for sig in signatures]
+
+    capacity = float(capacity)
+    remaining = capacity
+    floor = _EPS * capacity + _EPS
+    rate = 0.0
+    rate_of: dict[float, float] = {}
+    i, n = 0, len(ordered)
+    while i < n:
+        load = float(n - i)
+        increment = remaining / load
+        gap = float(ordered[i]) - rate
+        if gap < increment:
+            increment = gap
+        if math.isinf(increment):
+            raise SimulationError(
+                "unbounded allocation: elastic flow(s) traverse no resources"
+            )
+        if increment < 0.0:
+            increment = 0.0
+        rate += increment
+        remaining -= increment * load
+        if remaining <= floor:
+            if i == 0:
+                return [rate] * n
+            for demand in ordered[i:]:
+                rate_of[demand] = rate
+            break
+        first = i
+        while i < n and not rate < ordered[i] - _EPS:
+            rate_of[ordered[i]] = rate
+            i += 1
+        if i == first:  # pragma: no cover - numeric safety valve
+            raise SimulationError("progressive filling made no progress")
+    return [rate_of[d] for d in demands]

@@ -5,6 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.flows.flow import Flow
 from repro.flows.network import FlowNetwork
+from repro.obs.stats import SolverStats
+from repro.solver.incremental import AllocationCache
 from repro.units import gbps_to_bytes_per_s
 
 
@@ -69,6 +71,57 @@ class TestSimulate:
         net = FlowNetwork({"r": 6.0})
         rates = net.rates([Flow(name=f"f{i}", resources=("r",)) for i in range(3)])
         assert sum(rates.values()) == pytest.approx(6.0)
+
+
+def _counted(capacities):
+    stats = SolverStats()
+    return FlowNetwork(capacities, AllocationCache(stats=stats), stats), stats
+
+
+class TestOneResourceSweep:
+    """Which problems ``simulate`` solves by sweep, and which by cache."""
+
+    def test_one_resource_steps_are_sweeps_not_lookups(self):
+        net, stats = _counted({"r": 10.0, "other": 1.0})
+        flows = [
+            Flow(name=f"f{i}", resources=("r",), demand_gbps=2.0 + i,
+                 size_bytes=1e9 * (i + 1))
+            for i in range(4)
+        ]
+        net.simulate(flows)
+        assert stats.events == 4
+        assert stats.solves == 4
+        assert stats.lookups == 0
+
+    @pytest.mark.parametrize(
+        "flows",
+        [
+            # two resources on one flow
+            [Flow(name="a", resources=("r", "other"), size_bytes=1e9)],
+            # each flow alone on a different resource
+            [Flow(name="a", resources=("r",), size_bytes=1e9),
+             Flow(name="b", resources=("other",), size_bytes=1e9)],
+            # a weight other than 1
+            [Flow(name="a", resources=("r",), size_bytes=1e9, weight=2.0)],
+        ],
+    )
+    def test_other_problems_go_through_the_cache(self, flows):
+        net, stats = _counted({"r": 10.0, "other": 1.0})
+        net.simulate(flows)
+        assert stats.lookups == stats.events > 0
+
+    @pytest.mark.parametrize(
+        "capacities, message",
+        [
+            ({"other": 1.0}, "flow 'a' uses unknown resource 'r'"),
+            ({"r": 0.0}, "resource 'r' has non-positive capacity"),
+        ],
+    )
+    def test_rejected_problems_keep_the_cache_errors(self, capacities, message):
+        net, stats = _counted(capacities)
+        with pytest.raises(SimulationError, match=message):
+            net.simulate([Flow(name="a", resources=("r",), size_bytes=1e9)])
+        assert stats.cache_misses == 0 and stats.solves == 0
 
 
 class TestAggregate:

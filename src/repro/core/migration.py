@@ -113,8 +113,10 @@ class OnlineWorkload:
         size_sigma: float = 0.35,
         write_fraction: float = 1.0,
     ) -> None:
-        if rate_per_s <= 0 or mean_size_bytes <= 0:
-            raise ModelError("workload rate and size must be positive")
+        if not rate_per_s > 0:
+            raise ModelError(f"workload rate must be positive, got {rate_per_s!r}")
+        if mean_size_bytes <= 0:
+            raise ModelError(f"workload size must be positive, got {mean_size_bytes!r}")
         if not 0 <= write_fraction <= 1:
             raise ModelError("write_fraction must be in [0, 1]")
         self.registry = registry or RngRegistry()
@@ -323,8 +325,19 @@ class OnlineSimulator:
             if migrate:
                 # Catch up on every epoch due (idle jumps can skip several).
                 while loop.reached(next_epoch):
-                    epoch_moves += self._plan_migrations(now, active)
+                    moved = self._plan_migrations(now, active)
+                    epoch_moves += moved
                     next_epoch += _EPOCH_S
+                    if not moved:
+                        # A pass that moves nothing changes nothing, so
+                        # the other due passes would move nothing either:
+                        # skip to the first epoch not yet due.  Multiples
+                        # of 20 s are exact below 2**53 s, so this is
+                        # where the repeated sums would land.
+                        k = int(now // _EPOCH_S)
+                        while loop.reached(_EPOCH_S * k):
+                            k += 1
+                        next_epoch = _EPOCH_S * k
                 until = next_epoch
             for job in active:
                 if job.stalled_until_s > now:

@@ -72,6 +72,11 @@ class TestWorkload:
         jobs = OnlineWorkload(RngRegistry(), write_fraction=0.0).generate(10)
         assert all(j.direction == "read" for j in jobs)
 
+    @pytest.mark.parametrize("rate", [math.nan, 0.0, -1.0])
+    def test_rate_must_be_positive(self, rate):
+        with pytest.raises(ModelError, match="workload rate must be positive"):
+            OnlineWorkload(rate_per_s=rate)
+
     def test_validation(self):
         with pytest.raises(ModelError):
             OnlineWorkload(rate_per_s=0)
@@ -143,3 +148,29 @@ class TestSimulator:
         sim = OnlineSimulator(host, write_model, registry=registry)
         outcome = sim.run(jobs, "class-spread")
         assert len(outcome.per_stream_completion_s) == 16
+
+
+class TestEpochCatchUp:
+    """class-migrate replays every 20 s epoch an idle jump skipped."""
+
+    def test_planning_calls_do_not_grow_with_idle_time(
+        self, host, write_model, monkeypatch
+    ):
+        # Arrivals ~1e7 s apart skip ~500,000 epochs between streams;
+        # only the passes that could move something may be planned.
+        calls = []
+        plan = OnlineSimulator._plan_migrations
+
+        def spy(self, now, active):
+            calls.append(now)
+            if len(calls) > 100:
+                raise AssertionError("planning is linear in idle time")
+            return plan(self, now, active)
+
+        monkeypatch.setattr(OnlineSimulator, "_plan_migrations", spy)
+        jobs = OnlineWorkload(RngRegistry(), rate_per_s=1e-7).generate(3)
+        assert jobs[-1].arrival_s > 1e6
+        sim = OnlineSimulator(host, write_model, registry=RngRegistry())
+        outcome = sim.run(jobs, "class-migrate")
+        assert len(outcome.per_stream_completion_s) == 3
+        assert len(calls) <= 10

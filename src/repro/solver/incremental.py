@@ -17,10 +17,9 @@ Two observations make the simulation hot path cheap:
 
 Most problems the library poses are n weight-1 streams sharing one
 device.  There every active group holds the same rate, so the rounds
-collapse to a sweep over the sorted distinct demands:
-:func:`water_fill` runs it with the same IEEE operations as the cold
-solve, without flows, signatures or a memo key, and is cheaper than a
-cache hit.
+collapse to a sweep over the sorted demands: :func:`water_fill` runs it
+with the same IEEE operations as the cold solve, without flows,
+signatures or a memo key, and is cheaper than a cache hit.
 
 The semantics are those of :func:`repro.flows.maxmin.maxmin_allocate`:
 the property suite asserts agreement within 1e-9 on any problem, and

@@ -69,10 +69,6 @@ def test_water_fill_matches_solve_groups(problem):
     )
 
 
-def test_water_fill_keeps_input_order():
-    assert water_fill([3.0, 1.0, 8.0, 1.0], 7.0) == [2.5, 1.0, 2.5, 1.0]
-
-
 def _old_rates(session, names, demands, resource, capacity):
     flows = [
         Flow(name=name, resources=(resource,), demand_gbps=demand)

@@ -235,7 +235,11 @@ class OnlineSimulator:
         return min(self._candidates, key=lambda n: (load[n], n))
 
     def _plan_migrations(self, now: float, active: list[StreamJob]) -> int:
-        """class-migrate epochs: drain oversubscribed/non-candidate nodes."""
+        """class-migrate epochs: drain oversubscribed/non-candidate nodes.
+
+        Returns how many streams moved; each move is also counted once
+        in the moved stream's ``migrations``.
+        """
         load = self._load(active)
         moved = 0
         for job in sorted(active, key=lambda j: j.name):
@@ -310,10 +314,9 @@ class OnlineSimulator:
         ]
         migrate = policy == "class-migrate"
         next_epoch = _EPOCH_S
-        epoch_moves = 0
 
         def step(loop: FlowLoop):
-            nonlocal next_epoch, epoch_moves
+            nonlocal next_epoch
             now = loop.now
             active = [fresh[name] for name in loop.active]
             # Streams admitted this step are the unplaced ones; each one's
@@ -326,7 +329,6 @@ class OnlineSimulator:
                 # Catch up on every epoch due (idle jumps can skip several).
                 while loop.reached(next_epoch):
                     moved = self._plan_migrations(now, active)
-                    epoch_moves += moved
                     next_epoch += _EPOCH_S
                     if not moved:
                         # A pass that moves nothing changes nothing, so
@@ -354,7 +356,7 @@ class OnlineSimulator:
             p95_completion_s=float(np.percentile(times, 95)),
             makespan_s=makespan,
             aggregate_gbps=gbps(sum(o.bytes_moved for o in outcomes), makespan),
-            migrations=epoch_moves + sum(j.migrations for j in fresh.values()),
+            migrations=sum(j.migrations for j in fresh.values()),
             per_stream_completion_s=completions,
             solver_stats=self.session.stats.snapshot(),
         )

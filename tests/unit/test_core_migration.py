@@ -105,6 +105,20 @@ class TestSimulator:
         outcome = simulator.run(jobs, "class-migrate")
         assert outcome.migrations > 0
 
+    def test_each_move_is_counted_once(self, host, write_model, monkeypatch):
+        moves = []
+        plan = OnlineSimulator._plan_migrations
+
+        def spy(self, now, active):
+            moves.append(plan(self, now, active))
+            return moves[-1]
+
+        monkeypatch.setattr(OnlineSimulator, "_plan_migrations", spy)
+        jobs = OnlineWorkload(RngRegistry(7), rate_per_s=0.15).generate(25, label="test")
+        sim = OnlineSimulator(host, write_model, registry=RngRegistry(7))
+        outcome = sim.run(jobs, "class-migrate")
+        assert sum(moves) == outcome.migrations > 0
+
     def test_class_spread_beats_local(self, simulator, jobs):
         local = simulator.run(jobs, "local")
         spread = simulator.run(jobs, "class-spread")

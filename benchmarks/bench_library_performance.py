@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.stream import StreamBenchmark
+from repro.core.characterize import HostCharacterizer
 from repro.core.iomodel import IOModelBuilder
 from repro.core.migration import OnlineSimulator, OnlineWorkload
 from repro.flows.flow import Flow
@@ -19,6 +20,7 @@ from repro.flows.maxmin import maxmin_allocate
 from repro.flows.network import FlowNetwork
 from repro.rng import RngRegistry
 from repro.routing.table import RoutingTable
+from repro.solver import reset_sessions
 from repro.solver.incremental import AllocationCache
 from repro.topology.builders import hp_blade_32n, reference_host, scaled_host
 from repro.units import GB
@@ -140,3 +142,26 @@ def test_perf_iomodel_32_nodes(benchmark, big_host):
     write_model, read_model = benchmark(characterise)
     assert write_model.n_classes >= 2
     assert read_model.n_classes >= 2
+
+
+def test_perf_characterize_64_nodes(benchmark):
+    """One worker's share of a ``sweep`` pass on a 64-node host.
+
+    Algorithm 1 in both modes for 32 of ``scaled_host(32)``'s 64
+    targets, as one of two pool workers runs it: routing populate, the
+    sweep's feasibility check, the copy solves and the noise draws.
+    Each round starts from a fresh host and no solver session; building
+    them is not timed.
+    """
+
+    def fresh_host():
+        reset_sessions()
+        return (scaled_host(32),), {}
+
+    def characterize(machine):
+        characterizer = HostCharacterizer(machine, registry=RngRegistry())
+        return characterizer.characterize_many(machine.node_ids[:32])
+
+    out = benchmark.pedantic(characterize, setup=fresh_host, rounds=5, iterations=1)
+    assert len(out) == 32
+    assert all(hc.write_model.n_classes >= 2 for hc in out.values())

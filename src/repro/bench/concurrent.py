@@ -32,7 +32,7 @@ from repro.errors import BenchmarkError
 from repro.flows.flow import Flow
 from repro.interconnect.planes import PLANE_DMA
 from repro.memory.allocator import PageAllocator
-from repro.memory.controller import MemoryController
+from repro.memory.controller import dma_resource
 from repro.osmodel.counters import TrafficCounters
 from repro.osmodel.noise import NoiseModel
 from repro.rng import RngRegistry
@@ -76,7 +76,7 @@ class ConcurrentRunner:
             src, dst = mem_node, device.node_id
         else:
             src, dst = device.node_id, mem_node
-        resources = [MemoryController(mem_node, 0, 0).dma_resource]
+        resources = [dma_resource(mem_node)]
         if src != dst:
             for link in self.machine.path(PLANE_DMA, src, dst).links:
                 resources.append(link_resource(*link.ends))

@@ -25,7 +25,7 @@ from repro.errors import BenchmarkError
 from repro.flows.flow import Flow
 from repro.interconnect.planes import PLANE_DMA
 from repro.memory.allocator import PageAllocator
-from repro.memory.controller import MemoryController
+from repro.memory.controller import dma_resource
 from repro.memory.policy import MemBinding
 from repro.osmodel.noise import NoiseModel
 from repro.osmodel.process import SimTask, TaskBinding
@@ -92,16 +92,20 @@ def _copy_resources(machine: Machine, src: int, dst: int) -> tuple[str, ...]:
     """The resources every thread of one bulk copy src -> dst crosses.
 
     The source controller, the sink controller unless the copy is
-    node-local, and each link of the DMA-plane route.  The route is
-    resolved once: ``machine.path()`` would resolve it twice and wrap it
-    in a ``Path`` only to read its links.
+    node-local, and the link between each two consecutive hops of the
+    DMA-plane route.  Names come straight from the node ids
+    (:func:`~repro.memory.controller.dma_resource`,
+    :func:`~repro.solver.capacity.link_resource`): no controller or
+    link object is built only to read its name.
     """
-    resources = [MemoryController(src, 0, 0).dma_resource]
-    if src != dst:
-        resources.append(MemoryController(dst, 0, 0).dma_resource)
-        for link in machine.routing.route_links(PLANE_DMA, src, dst):
-            resources.append(link_resource(*link.ends))
-    return tuple(resources)
+    if src == dst:
+        return (dma_resource(src),)
+    hops = machine.routing.route(PLANE_DMA, src, dst)
+    return (
+        dma_resource(src),
+        dma_resource(dst),
+        *[link_resource(a, b) for a, b in zip(hops, hops[1:])],
+    )
 
 
 def _bulk_copy_flows(machine: Machine, src: int, dst: int, threads: int) -> list[Flow]:

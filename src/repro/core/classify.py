@@ -9,6 +9,7 @@ class); a k-means cross-check is provided for validation tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -83,8 +84,8 @@ def classify_nodes(
     missing = [n for n in machine.node_ids if n not in values]
     if missing:
         raise ModelError(f"values missing for nodes {missing}")
-    if any(v <= 0 for v in values.values()):
-        raise ModelError("bandwidth values must be positive")
+    if not all(0 < v < math.inf for v in values.values()):
+        raise ModelError("bandwidth values must be finite and positive")
 
     first = [
         n

@@ -17,6 +17,11 @@ TCP/RDMA/SSD runs.
 
 from __future__ import annotations
 
+import math
+import numbers
+from contextlib import contextmanager
+from typing import Iterator
+
 import numpy as np
 
 from repro.bench.engines import bulk_copy_gbps, bulk_copy_gbps_many
@@ -66,10 +71,12 @@ class IOModelBuilder:
         rel_gap: float = 0.08,
         sigma: float = 0.012,
     ) -> None:
-        if runs < 1:
-            raise ModelError(f"runs must be >= 1, got {runs}")
-        if sigma < 0:
-            raise ModelError(f"noise sigma must be >= 0, got {sigma}")
+        if not isinstance(runs, numbers.Integral) or runs < 1:
+            raise ModelError(f"runs must be an integer >= 1, got {runs!r}")
+        if not 0 <= sigma < math.inf:
+            raise ModelError(f"noise sigma must be finite and >= 0, got {sigma}")
+        if not buffer_bytes < math.inf:
+            raise ModelError(f"copy buffers must be finite, got {buffer_bytes}")
         if buffer_bytes < 4 * machine.params.llc_bytes:
             raise ModelError(
                 f"copy buffers must be >= 4x LLC ({4 * machine.params.llc_bytes} "
@@ -94,6 +101,27 @@ class IOModelBuilder:
         n = libnuma.numa_num_configured_nodes(self.machine)
         return libnuma.numa_num_configured_cpus(self.machine) // n
 
+    @contextmanager
+    def _probe_buffers(
+        self, allocator: PageAllocator, size: int, src_node: int, dst_node: int,
+        target_node: int,
+    ) -> Iterator[None]:
+        """Algorithm 1's per-probe cycle (lines 5-10) around one copy.
+
+        Allocates ``memsrc`` and ``memsnk`` of ``size`` bytes on their
+        nodes, binds the copy threads to the target node ``k`` and frees
+        both buffers on exit, so a node without the pages fails like
+        ``numa_alloc_onnode`` would.
+        """
+        src = libnuma.numa_alloc_onnode(allocator, size, src_node)
+        snk = libnuma.numa_alloc_onnode(allocator, size, dst_node)
+        try:
+            libnuma.numa_run_on_node(self.machine, target_node)
+            yield
+        finally:
+            libnuma.numa_free(allocator, snk)
+            libnuma.numa_free(allocator, src)
+
     def measure_pair(self, other_node: int, target_node: int, mode: str) -> Measurement:
         """One (node ``i``, target ``k``) probe: m threads, ``runs`` copies.
 
@@ -104,14 +132,13 @@ class IOModelBuilder:
             raise ModelError(f"mode must be 'write' or 'read', got {mode!r}")
         machine = self.machine
         m = self.threads_per_node()
-        allocator = PageAllocator(machine)
         src_node, dst_node = (
             (other_node, target_node) if mode == "write" else (target_node, other_node)
         )
-        src = libnuma.numa_alloc_onnode(allocator, m * self.buffer_bytes, src_node)
-        snk = libnuma.numa_alloc_onnode(allocator, m * self.buffer_bytes, dst_node)
-        try:
-            libnuma.numa_run_on_node(machine, target_node)  # bind copy threads to k
+        with self._probe_buffers(
+            PageAllocator(machine), m * self.buffer_bytes, src_node, dst_node,
+            target_node,
+        ):
             base = bulk_copy_gbps(
                 machine, src_node, dst_node, threads=m, session=self.session
             )
@@ -122,9 +149,6 @@ class IOModelBuilder:
             )
             samples = base * noise.factors(self.sigma, self.runs)
             return Measurement.from_samples(samples, protocol="mean")
-        finally:
-            libnuma.numa_free(allocator, snk)
-            libnuma.numa_free(allocator, src)
 
     def _noise_matrix(self, target_node: int, mode: str, m: int) -> "np.ndarray":
         """The (nodes x runs) noise matrix of one model, one ``exp`` call.
@@ -155,15 +179,20 @@ class IOModelBuilder:
         """Algorithm 1 for several target nodes in one batched sweep.
 
         Semantically the per-node :meth:`measure_pair` loop per target,
-        executed as a sweep: buffer allocation and thread binding still
-        happen per (node, target) probe, on one allocator per sweep — so
-        a node without memory fails at the same probe with the same
-        error — but the copy bandwidth of each distinct (source, sink)
-        pair is solved once per builder, all of a sweep's new pairs in
-        one :func:`~repro.bench.engines.bulk_copy_gbps_many` batch, and
-        each model's noise matrix is drawn with a single vectorized
-        ``exp`` and averaged with one ``mean``.  Values are bit-identical
-        to node-by-node measurement.
+        executed as a sweep.  Where Algorithm 1's lines 5-10 allocate,
+        bind and free per (node, target) probe, the sweep checks
+        feasibility: every probe frees what it took, so a probe fails
+        exactly when its nodes lack the pages for its two buffers, and
+        one :meth:`~repro.memory.allocator.PageAllocator.fits` query per
+        node decides every probe.  Only when a probe would fail does the
+        sweep replay the per-probe cycle in order, so it raises the same
+        error at the same probe after the same ``numa_alloc_onnode``
+        calls.  The copy bandwidth of each distinct (source, sink) pair
+        is solved once per builder, all of a sweep's new pairs in one
+        :func:`~repro.bench.engines.bulk_copy_gbps_many` batch, and each
+        model's noise matrix is drawn with a single vectorized ``exp``
+        and averaged with one ``mean``.  Values are bit-identical to
+        node-by-node measurement.
         """
         machine = self.machine
         for target_node in targets:
@@ -182,23 +211,25 @@ class IOModelBuilder:
         machine = self.machine
         m = self.threads_per_node()
         size = m * self.buffer_bytes
-        # Every probe frees what it took, so one allocator serves the
-        # sweep and each probe sees the free memory a fresh one would.
+        n = machine.n_nodes
+        nodes = machine.node_ids
+        if mode == "write":
+            copy_pairs = [(i, k) for k in targets for i in nodes]
+        else:
+            copy_pairs = [(k, i) for k in targets for i in nodes]
+        # Every probe frees what it took, so each sees the free memory of
+        # a fresh allocator: it needs one buffer on its source and one on
+        # its sink, two on a local probe's node.
         allocator = PageAllocator(machine)
-        copy_pairs = []
-        for target_node in targets:
-            for i in machine.node_ids:
-                src_node, dst_node = (
-                    (i, target_node) if mode == "write" else (target_node, i)
-                )
-                src = libnuma.numa_alloc_onnode(allocator, size, src_node)
-                snk = libnuma.numa_alloc_onnode(allocator, size, dst_node)
-                try:
-                    libnuma.numa_run_on_node(machine, target_node)
-                    copy_pairs.append((src_node, dst_node))
-                finally:
-                    libnuma.numa_free(allocator, snk)
-                    libnuma.numa_free(allocator, src)
+        room = {node: allocator.fits(size, node) for node in nodes}
+        if any(room[src] < 1 or room[dst] < 1 + (src == dst)
+               for src, dst in copy_pairs):
+            # Replay the cycle in order: the first probe that fails raises.
+            for probe, (src, dst) in enumerate(copy_pairs):
+                with self._probe_buffers(
+                    allocator, size, src, dst, targets[probe // n]
+                ):
+                    pass
         # The read sweep's pairs are the write sweep's transposed, so a
         # builder characterizing both modes solves each pair once.
         known = self._copy_gbps
@@ -207,7 +238,6 @@ class IOModelBuilder:
             known.update(zip(missing, bulk_copy_gbps_many(
                 machine, missing, m, session=self.session
             )))
-        n = machine.n_nodes
         models: dict[int, IOPerformanceModel] = {}
         for t_idx, target_node in enumerate(targets):
             probes = copy_pairs[t_idx * n:(t_idx + 1) * n]

@@ -65,6 +65,9 @@ _TOLERANCE = 0.05
 #: migrated stream pays.
 _EPOCH_S = 20.0
 _MIGRATION_COST_S = 0.5
+#: Arrivals must come before this: below 2**43 s one step of the float
+#: clock is under 1 ms and every multiple of the epoch is exact.
+_MAX_ARRIVAL_S = 2.0**43
 
 
 @dataclass
@@ -83,10 +86,10 @@ class StreamJob:
     stalled_until_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.arrival_s < math.inf:
+        if not 0 <= self.arrival_s < _MAX_ARRIVAL_S:
             raise ModelError(
-                f"stream {self.name!r}: arrival must be finite and "
-                f"non-negative, got {self.arrival_s!r}"
+                f"stream {self.name!r}: arrival must be non-negative and "
+                f"below 2**43 s, got {self.arrival_s!r}"
             )
         if not 0 < self.size_bytes < math.inf:
             raise ModelError(

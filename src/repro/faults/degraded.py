@@ -32,7 +32,7 @@ from repro.faults.plan import FaultedMachine, FaultPlan
 from repro.flows.flow import Flow
 from repro.flows.network import FlowLoop, FlowOutcome
 from repro.interconnect.planes import PLANE_DMA
-from repro.memory.controller import MemoryController
+from repro.memory.controller import dma_resource
 from repro.obs import recorder as _obs
 from repro.retrying import RetryPolicy
 from repro.solver.capacity import link_resource
@@ -144,11 +144,9 @@ def reroute_resources(
     RouteLostError
         If no route from ``src`` to ``dst`` survives on ``machine``.
     """
-    resources = [MemoryController(src, 0, 0).dma_resource]
-    dst_ctrl = MemoryController(dst, 0, 0).dma_resource
-    if dst_ctrl != resources[0]:
-        resources.append(dst_ctrl)
+    resources = [dma_resource(src)]
     if src != dst:
+        resources.append(dma_resource(dst))
         try:
             path = machine.path(PLANE_DMA, src, dst)
         except RoutingError as exc:

@@ -10,6 +10,7 @@ LOCAL_PREFERRED spills to the nearest node with space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import AllocationError
@@ -44,6 +45,15 @@ class Allocation:
         return max(sorted(self.bytes_by_node), key=lambda n: self.bytes_by_node[n])
 
 
+def _pages(size_bytes: int) -> int:
+    """Pages an allocation of ``size_bytes`` takes (rounded up)."""
+    if not 0 < size_bytes < math.inf:
+        raise AllocationError(
+            f"allocation size must be a finite number > 0, got {size_bytes}"
+        )
+    return -(-size_bytes // PAGE_BYTES)
+
+
 class PageAllocator:
     """Per-machine page bookkeeping with Linux policy semantics."""
 
@@ -63,21 +73,31 @@ class PageAllocator:
             raise AllocationError(f"unknown node {node}")
         return self._free[node]
 
+    def fits(self, size_bytes: int, node: int) -> int:
+        """How many BIND allocations of ``size_bytes`` ``node`` holds now.
+
+        ``k`` successive ``allocate(size_bytes, node, MemBinding.bind(node))``
+        calls succeed exactly when ``k`` is at most this; it rejects the
+        sizes and nodes :meth:`allocate` rejects, with the same errors.
+        """
+        pages = _pages(size_bytes)
+        if node not in self._free:
+            raise AllocationError(f"unknown CPU node {node}")
+        return int(self._free[node] // PAGE_BYTES // pages)
+
     def allocate(self, size_bytes: int, cpu_node: int, binding: MemBinding | None = None) -> Allocation:
         """Allocate ``size_bytes`` for a task faulting from ``cpu_node``.
 
         Raises
         ------
         AllocationError
-            When a BIND set is exhausted, or the whole machine is out of
-            memory.
+            When the size is not a finite number > 0, a BIND set is
+            exhausted, or the whole machine is out of memory.
         """
-        if size_bytes <= 0:
-            raise AllocationError(f"allocation size must be positive, got {size_bytes}")
+        pages = _pages(size_bytes)
         if cpu_node not in self._free:
             raise AllocationError(f"unknown CPU node {cpu_node}")
         binding = binding or MemBinding.local()
-        pages = -(-size_bytes // PAGE_BYTES)
 
         if binding.policy is AllocPolicy.INTERLEAVE:
             return self._interleave(pages, cpu_node, binding.nodes)

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.topology.machine import Machine
 
-__all__ = ["MemoryController", "controller_capacities"]
+__all__ = ["MemoryController", "controller_capacities", "dma_resource"]
+
+
+@functools.cache
+def dma_resource(node_id: int) -> str:
+    """Resource name for bulk/DMA traffic through ``node_id``'s controller.
+
+    Built once per node, so every copy's resource tuple shares it.
+    """
+    return f"ctrl-dma:{node_id}"
 
 
 @dataclass(frozen=True)
@@ -24,7 +34,7 @@ class MemoryController:
     @property
     def dma_resource(self) -> str:
         """Resource name for bulk/DMA traffic through this controller."""
-        return f"ctrl-dma:{self.node_id}"
+        return dma_resource(self.node_id)
 
     @property
     def pio_resource(self) -> str:

@@ -5,6 +5,7 @@ import pytest
 from repro.bench.engines import (
     DeviceIOEngine,
     MemcpyEngine,
+    _copy_resources,
     bulk_copy_gbps,
     bulk_copy_gbps_many,
     link_capacities,
@@ -12,9 +13,13 @@ from repro.bench.engines import (
     resolve_placements,
 )
 from repro.bench.jobfile import FioJob
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, RoutingError
+from repro.faults import FaultedMachine, LinkFail
+from repro.interconnect.planes import PLANE_DMA
 from repro.memory.allocator import PageAllocator
+from repro.memory.controller import MemoryController
 from repro.rng import RngRegistry
+from repro.topology.builders import scaled_host
 from repro.topology.modify import with_dram_gbps
 
 
@@ -58,6 +63,42 @@ class TestBulkCopy:
         caps = link_capacities(host)
         assert len(caps) == len(host.links)
         assert caps[link_resource(0, 7)] == pytest.approx(0.87 * 51.2)
+
+
+def _copy_resources_via_objects(machine, src, dst):
+    """The construction ``_copy_resources`` replaced: names read off
+    ``MemoryController`` and ``DirectedLink`` objects."""
+    resources = [MemoryController(src, 0, 0).dma_resource]
+    if src != dst:
+        resources.append(MemoryController(dst, 0, 0).dma_resource)
+        for link in machine.routing.route_links(PLANE_DMA, src, dst):
+            resources.append(link_resource(*link.ends))
+    return tuple(resources)
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestCopyResources:
+    def test_names_match_controller_and_link_objects(self, host):
+        for machine in (host, scaled_host(32)):
+            for src in machine.node_ids:
+                for dst in machine.node_ids:
+                    assert _copy_resources(machine, src, dst) == (
+                        _copy_resources_via_objects(machine, src, dst)
+                    ), (machine.name, src, dst)
+
+    def test_partitioned_pair_raises_the_same_routing_error(self, bare_host):
+        # Node 0's only cables on the reference host: 0-1 and 0-7.
+        cut = FaultedMachine(bare_host, [LinkFail(a=0, b=1), LinkFail(a=0, b=7)])
+        for src, dst in [(0, 5), (5, 0)]:
+            expected = _raised(_copy_resources_via_objects, cut, src, dst)
+            assert expected[0] is RoutingError
+            assert _raised(_copy_resources, cut, src, dst) == expected
+        assert _copy_resources(cut, 0, 0) == ("ctrl-dma:0",)
 
 
 class TestResolvePlacements:

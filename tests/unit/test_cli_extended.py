@@ -49,3 +49,20 @@ class TestOnline:
         out = capsys.readouterr().out
         for policy in ("local", "random", "class-spread", "class-migrate"):
             assert policy in out
+
+    def test_arrivals_beyond_clock_resolution_exit_2(self, capsys):
+        # At 1e-20 streams/s arrivals land near 1e20 s, where one clock
+        # step is longer than a whole transfer.
+        assert main(["online", "--streams", "3", "--rate", "1e-20"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stream 'cli/0': arrival must be non-negative "
+                              "and below 2**43 s, got ")
+
+    def test_sparse_arrivals_below_the_bound_still_run(self, capsys):
+        assert main(["online", "--streams", "3", "--rate", "1e-12"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == [
+            f"{policy:<14} mean     11.6 s, p95     16.0 s, aggregate  0.00 Gbps, "
+            "0 migrations"
+            for policy in ("local", "random", "class-spread", "class-migrate")
+        ]

@@ -80,6 +80,12 @@ class TestClassifyNodes:
         with pytest.raises(ModelError):
             classify_nodes(write_values, host, 7)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, host, write_values, value):
+        write_values[3] = value
+        with pytest.raises(ModelError, match="must be finite and positive"):
+            classify_nodes(write_values, host, 7)
+
     def test_unknown_target_rejected(self, host, write_values):
         with pytest.raises(ModelError):
             classify_nodes(write_values, host, 42)

@@ -1,5 +1,7 @@
 """Algorithm 1 implementation."""
 
+import math
+
 import pytest
 
 from repro.core.iomodel import IOModelBuilder
@@ -43,6 +45,21 @@ class TestBuilder:
         with pytest.raises(ModelError):
             IOModelBuilder(host, sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, host, sigma):
+        with pytest.raises(ModelError, match="noise sigma must be finite"):
+            IOModelBuilder(host, sigma=sigma)
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf])
+    def test_non_finite_buffer_rejected(self, host, size):
+        with pytest.raises(ModelError, match="copy buffers must be finite"):
+            IOModelBuilder(host, buffer_bytes=size)
+
+    @pytest.mark.parametrize("runs", [2.5, 2.0, "10"])
+    def test_non_integer_runs_rejected(self, host, runs):
+        with pytest.raises(ModelError, match="runs must be an integer"):
+            IOModelBuilder(host, runs=runs)
+
     def test_vectorized_build_matches_measure_pair_loop(self, host, registry):
         builder = IOModelBuilder(host, registry=registry, runs=10)
         for mode in ("write", "read"):
@@ -61,6 +78,22 @@ class TestBuilder:
     def test_build_many_unknown_target_rejected(self, host):
         with pytest.raises(ModelError):
             IOModelBuilder(host).build_many((7, 42), "write")
+
+    def test_sweep_with_room_allocates_nothing(self, host, monkeypatch):
+        # Every node of the reference host holds a local probe's two
+        # buffers, so the feasibility check decides every probe.
+        calls = []
+        alloc = libnuma.numa_alloc_onnode
+
+        def logged(allocator, size_bytes, node):
+            calls.append((size_bytes, node))
+            return alloc(allocator, size_bytes, node)
+
+        monkeypatch.setattr(libnuma, "numa_alloc_onnode", logged)
+        builder = IOModelBuilder(host, runs=2)
+        for mode in ("write", "read"):
+            assert len(builder.build_many(host.node_ids, mode)) == host.n_nodes
+        assert calls == []
 
 
 class TestAllocationFailure:

@@ -50,6 +50,16 @@ class TestStreamJob:
         with pytest.raises(ModelError, match="stream 'j': arrival"):
             StreamJob(name="j", arrival_s=arrival, size_bytes=GB)
 
+    @pytest.mark.parametrize("arrival", [2.0**43, 1e20])
+    def test_arrival_beyond_clock_resolution_rejected(self, arrival):
+        # From 2**43 s on, one step of the float clock is >= 2**-9 s.
+        with pytest.raises(ModelError, match=r"stream 'j': arrival .*below 2\*\*43 s"):
+            StreamJob(name="j", arrival_s=arrival, size_bytes=GB)
+
+    def test_arrival_just_below_the_bound_accepted(self):
+        job = StreamJob(name="j", arrival_s=math.nextafter(2.0**43, 0), size_bytes=GB)
+        assert job.arrival_s < 2.0**43
+
     @pytest.mark.parametrize("size", [math.inf, math.nan])
     def test_non_finite_size_rejected(self, size):
         with pytest.raises(ModelError, match="stream 'j': size"):

@@ -72,6 +72,7 @@ class TestValidation:
         ("Infinity", "1e9"),
         ("NaN", "1e9"),
         ("-1.0", "1e9"),
+        ("8796093022208.0", "1e9"),
         ("0.0", "Infinity"),
         ("0.0", "NaN"),
     ])

@@ -1,5 +1,7 @@
 """Page allocator policy semantics."""
 
+import math
+
 import pytest
 
 from repro.errors import AllocationError
@@ -126,3 +128,40 @@ class TestNode0Anomaly:
     def test_unknown_cpu_node_rejected(self, allocator):
         with pytest.raises(AllocationError):
             allocator.allocate(4096, cpu_node=42)
+
+    @pytest.mark.parametrize("size", [math.inf, math.nan, -math.inf, -1])
+    def test_non_finite_or_negative_size_rejected(self, allocator, size):
+        before = {n: allocator.free_bytes(n) for n in (0, 3)}
+        with pytest.raises(AllocationError, match="must be a finite number > 0"):
+            allocator.allocate(size, cpu_node=3)
+        with pytest.raises(AllocationError, match="must be a finite number > 0"):
+            allocator.allocate(size, cpu_node=0, binding=MemBinding.bind(3))
+        assert {n: allocator.free_bytes(n) for n in (0, 3)} == before
+
+
+class TestFits:
+    def test_counts_bind_allocations(self, allocator):
+        free = allocator.free_bytes(0)
+        assert allocator.fits(free, 0) == 1
+        assert allocator.fits(free // 3, 0) == 3
+        assert allocator.fits(free + 1, 0) == 0
+        allocator.allocate(free // 3, cpu_node=0, binding=MemBinding.bind(0))
+        assert allocator.fits(free // 3, 0) == 2
+
+    def test_rounds_sizes_up_to_pages(self, allocator):
+        # One byte takes a whole page, as in allocate.
+        pages = allocator.free_bytes(5) // PAGE_BYTES
+        assert allocator.fits(1, 5) == pages
+        assert allocator.fits(PAGE_BYTES + 1, 5) == pages // 2
+
+    @pytest.mark.parametrize("size", [0, -1, math.inf, math.nan])
+    def test_rejects_what_allocate_rejects(self, allocator, size):
+        with pytest.raises(AllocationError) as fits:
+            allocator.fits(size, 2)
+        with pytest.raises(AllocationError) as allocate:
+            allocator.allocate(size, cpu_node=2, binding=MemBinding.bind(2))
+        assert str(fits.value) == str(allocate.value)
+
+    def test_unknown_node_rejected(self, allocator):
+        with pytest.raises(AllocationError, match="unknown CPU node 42"):
+            allocator.fits(4096, 42)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.fio import FioRunner
+from repro.bench.jobfile import FioJob
 from repro.bench.stream import StreamBenchmark
 from repro.core.characterize import HostCharacterizer
 from repro.core.iomodel import IOModelBuilder
@@ -102,6 +104,29 @@ def test_perf_online_class_migrate(benchmark):
 
     outcome = benchmark(simulator.run, jobs, "class-migrate")
     assert outcome.migrations > 0
+
+
+def test_perf_fio_grid(benchmark):
+    """The Figs. 5-7 grid shape: rdma write, 8 nodes x (1, 2, 4, 8, 16) streams.
+
+    40 device jobs on the reference host.  Every stream is bound to a
+    node that holds its group's buffers, so each job takes its
+    placements per node group and computes each distinct placement's
+    service level once.  Each round starts on a fresh solver session;
+    resetting it is not timed.
+    """
+    host = reference_host()
+    job = FioJob(name="grid", engine="rdma", rw="write")
+
+    def fresh_session():
+        reset_sessions()
+        return (), {}
+
+    def grid():
+        return FioRunner(host, RngRegistry()).grid(job)
+
+    out = benchmark.pedantic(grid, setup=fresh_session, rounds=10, iterations=1)
+    assert [sorted(row) for row in out.values()] == [[1, 2, 4, 8, 16]] * 8
 
 
 def test_perf_routing_all_pairs_32_nodes(benchmark, blade):

@@ -9,9 +9,20 @@ with one round.
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import pytest
 
 from repro.experiments import run_experiment
+
+# The repository root, so the suites share one per-test budget shim.
+_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
+
+# The per-test budget (``timeout`` in pyproject.toml) without pytest-timeout.
+from tests.timeout_fallback import pytest_addoption, pytest_runtest_call  # noqa: E402,F401
 
 
 @pytest.fixture()

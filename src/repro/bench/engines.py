@@ -15,6 +15,7 @@ Two engine families:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,38 @@ __all__ = [
 OVERSUBSCRIPTION_EXPONENT = 0.07
 
 
+def placement_service_level(
+    machine: Machine,
+    device,
+    profile,
+    direction: str,
+    cpu_node: int,
+    mem_node: int,
+    streams_on_node: int,
+    session: SolverSession,
+) -> float:
+    """Service level of one stream on ``cpu_node`` with buffers on ``mem_node``.
+
+    The device's calibrated response to the stream's DMA path, times the
+    IRQ-locality factor, times the oversubscription derating when
+    ``streams_on_node`` streams share ``cpu_node``'s cores.  Nothing else
+    enters, so every stream with the same placement on a node with the
+    same stream count gets the same float: callers compute it once per
+    distinct placement (:func:`device_service_levels`, the online
+    simulator's rate hook).
+    """
+    if direction == "write":
+        path = session.dma_path_gbps(mem_node, device.node_id)
+    else:
+        path = session.dma_path_gbps(device.node_id, mem_node)
+    level = profile.curve.value(path)
+    level *= device.irq.factor(cpu_node, profile.irq_sensitivity)
+    cores = machine.node(cpu_node).n_cores
+    if streams_on_node > cores:
+        level *= (cores / streams_on_node) ** OVERSUBSCRIPTION_EXPONENT
+    return level
+
+
 def device_service_levels(
     machine: Machine,
     device,
@@ -65,27 +98,26 @@ def device_service_levels(
 
     Combines the device's calibrated response to the stream's DMA path,
     the IRQ-locality factor, and the node-oversubscription derating.
-    Shared by the fio engine and the online placement simulator.  DMA
-    path bandwidths come from the machine's solver session (memoized).
+    Shared by the fio engines and the cluster models.  A level depends
+    only on the stream's ``(cpu_node, mem_node)`` and its CPU node's
+    stream count, so each distinct placement is computed once
+    (:func:`placement_service_level`), in order of first appearance, and
+    its streams share that float.  DMA path bandwidths come from the
+    machine's solver session (memoized).
     """
     session = session if session is not None else get_session(machine)
     streams_on_node: dict[int, int] = {}
     for p in placements:
         streams_on_node[p.cpu_node] = streams_on_node.get(p.cpu_node, 0) + 1
-    levels = []
-    for p in placements:
-        if direction == "write":
-            path = session.dma_path_gbps(p.mem_node, device.node_id)
-        else:
-            path = session.dma_path_gbps(device.node_id, p.mem_node)
-        level = profile.curve.value(path)
-        level *= device.irq.factor(p.cpu_node, profile.irq_sensitivity)
-        cores = machine.node(p.cpu_node).n_cores
-        m = streams_on_node[p.cpu_node]
-        if m > cores:
-            level *= (cores / m) ** OVERSUBSCRIPTION_EXPONENT
-        levels.append(level)
-    return levels
+    keys = [(p.cpu_node, p.mem_node) for p in placements]
+    levels = {
+        (cpu, mem): placement_service_level(
+            machine, device, profile, direction, cpu, mem,
+            streams_on_node[cpu], session,
+        )
+        for cpu, mem in dict.fromkeys(keys)
+    }
+    return [levels[key] for key in keys]
 
 
 def _copy_resources(machine: Machine, src: int, dst: int) -> tuple[str, ...]:
@@ -192,11 +224,17 @@ def resolve_placements(
     allocator: PageAllocator,
     job: FioJob,
 ) -> tuple[list[StreamPlacement], list]:
-    """Pin the job's streams and allocate their I/O buffers.
+    """Pin the job's streams and allocate their I/O buffers, one at a time.
 
     Buffers follow the paper's protocol: local-preferred from the pinned
     node (Linux default) unless the job carries an explicit ``membind``.
     Returns placements plus the allocations (caller releases them).
+
+    This is the per-stream reference.  :class:`DeviceIOEngine` replays it
+    only for jobs whose placements it cannot read off per node group
+    (an unbound stream, an unknown node, a group that would spill or
+    fail); the concurrent runner always takes it, because its jobs debit
+    one allocator between them.
     """
     scheduler = CpuScheduler(machine, allow_oversubscribe=True)
     placements: list[StreamPlacement] = []
@@ -231,9 +269,22 @@ class DeviceIOEngine:
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
         self.session = get_session(machine)
+        #: Each known node id, mapped to the machine's own id: the node
+        #: the scheduler reports for a stream pinned there.
+        self._nodes = {nid: nid for nid in machine.node_ids}
+        #: Never allocated from, so its ``fits`` answers for the fresh
+        #: allocator each job starts with; built on the first run.
+        self._room: PageAllocator | None = None
 
     def run(self, job: FioJob, rng: np.random.Generator) -> JobResult:
-        """Execute ``job`` once and return its result."""
+        """Execute ``job`` once and return its result.
+
+        Streams bound to a known node whose buffers all fit there (or on
+        the ``membind`` node) take their placements per node group,
+        without a scheduler or an allocation; any other job replays
+        :func:`resolve_placements` stream by stream.  Both give the same
+        placements, so the same result or the same error.
+        """
         device = self.machine.devices.get(job.device)
         if device is None:
             raise BenchmarkError(
@@ -247,6 +298,11 @@ class DeviceIOEngine:
                 f"{device.name!r} saturated (needs >= {device.min_iodepth})"
             )
 
+        if self._room is None:
+            self._room = PageAllocator(self.machine)
+        placements = self._group_placements(job)
+        if placements is not None:
+            return self._simulate(job, device, profile, placements, rng)
         allocator = PageAllocator(self.machine)
         placements, allocations = resolve_placements(self.machine, allocator, job)
         try:
@@ -254,6 +310,37 @@ class DeviceIOEngine:
         finally:
             for allocation in allocations:
                 allocator.release(allocation)
+
+    def _group_placements(self, job: FioJob) -> list[StreamPlacement] | None:
+        """The job's placements read off per node group, or ``None``.
+
+        :func:`resolve_placements` pins a bound stream to its node and
+        allocates its buffer local-preferred from there, or on the
+        ``membind`` node.  When every stream's node is known and each
+        node holds its whole group's buffers (under ``membind``: the
+        bound node holds all ``numjobs``), no buffer spills, so each
+        lands whole where the reference would put it.  ``None`` sends
+        the job to that reference: an unbound stream, an unknown node,
+        or a group that would spill or fail.
+        """
+        bound = (
+            job.stream_nodes if job.stream_nodes is not None
+            else (job.cpunodebind,) * job.numjobs
+        )
+        nodes = self._nodes
+        if not all(node in nodes for node in bound):
+            return None
+        cpu = [nodes[node] for node in bound]
+        size = job.blocksize * job.iodepth
+        if job.membind is not None:
+            if (job.membind not in nodes
+                    or self._room.fits(size, job.membind) < len(cpu)):
+                return None
+            return [StreamPlacement(node, job.membind) for node in cpu]
+        for node, count in Counter(cpu).items():
+            if self._room.fits(size, node) < count:
+                return None
+        return [StreamPlacement(node, node) for node in cpu]
 
     def _simulate(self, job, device, profile, placements, rng) -> JobResult:
         machine = self.machine

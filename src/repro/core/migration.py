@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.engines import StreamPlacement, device_service_levels
+from repro.bench.engines import placement_service_level
 from repro.errors import ModelError
 from repro.flows.flow import Flow
 from repro.flows.network import FlowLoop
@@ -269,30 +269,33 @@ class OnlineSimulator:
         running = [j for j in active if j.stalled_until_s <= now]
         if not running:
             return {}
-        placements = [
-            StreamPlacement(cpu_node=j.node, mem_node=j.node) for j in running
-        ]
-        # Direction mixes are legal; compute level vectors per direction
-        # once and pick each stream's entry from its own direction.
-        directions = {j.direction for j in running}
-        by_direction = {
-            d: device_service_levels(
-                self.machine, self.device, self.profiles[d], placements, d,
-                session=self.session,
-            )
-            for d in directions
-        }
-        levels = [by_direction[j.direction][i] for i, j in enumerate(running)]
-        n = len(running)
-        ways = max(1.0, n / self.device.dma.contexts)
+        streams_on_node: dict[int, int] = {}
+        for j in running:
+            streams_on_node[j.node] = streams_on_node.get(j.node, 0) + 1
+        ways = max(1.0, len(running) / self.device.dma.contexts)
+        # A stream's level and demand depend only on its node, its
+        # direction and its node's stream count, so each (node,
+        # direction) group computes them once; the lists keep running
+        # order, so ``agg`` sums the same floats in the same order.
+        groups: dict[tuple[int, str], tuple[float, float]] = {}
+        levels = []
         demands = []
-        for j, level in zip(running, levels):
-            profile = self.profiles[j.direction]
-            demand = level / ways
-            if profile.per_stream_cap_gbps is not None:
-                demand = min(demand, profile.per_stream_cap_gbps)
-            if profile.cpu_gbps_per_stream is not None:
-                demand = min(demand, profile.cpu_gbps_per_stream)
+        for j in running:
+            key = (j.node, j.direction)
+            if key not in groups:
+                profile = self.profiles[j.direction]
+                level = placement_service_level(
+                    self.machine, self.device, profile, j.direction, j.node,
+                    j.node, streams_on_node[j.node], self.session,
+                )
+                demand = level / ways
+                if profile.per_stream_cap_gbps is not None:
+                    demand = min(demand, profile.per_stream_cap_gbps)
+                if profile.cpu_gbps_per_stream is not None:
+                    demand = min(demand, profile.cpu_gbps_per_stream)
+                groups[key] = level, demand
+            level, demand = groups[key]
+            levels.append(level)
             demands.append(demand)
         agg = sum(levels) / len(levels)
         return self.session.shared_rates(

@@ -91,13 +91,20 @@ class PageAllocator:
         Raises
         ------
         AllocationError
-            When the size is not a finite number > 0, a BIND set is
-            exhausted, or the whole machine is out of memory.
+            When the size is not a finite number > 0, the CPU node or a
+            node of the binding is unknown (checked before any page is
+            taken), a BIND set is exhausted, or the whole machine is out
+            of memory.
         """
         pages = _pages(size_bytes)
         if cpu_node not in self._free:
             raise AllocationError(f"unknown CPU node {cpu_node}")
         binding = binding or MemBinding.local()
+        for node in binding.nodes:
+            if node not in self._free:
+                raise AllocationError(
+                    f"{binding.policy.value} policy names unknown memory node {node}"
+                )
 
         if binding.policy is AllocPolicy.INTERLEAVE:
             return self._interleave(pages, cpu_node, binding.nodes)

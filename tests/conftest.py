@@ -9,7 +9,6 @@ per test.
 from __future__ import annotations
 
 import signal
-import threading
 
 import pytest
 
@@ -17,50 +16,8 @@ from repro.bench.fio import FioRunner
 from repro.rng import RngRegistry
 from repro.topology.builders import magny_cours_4p, parametric_machine, reference_host
 
-try:  # pragma: no cover - depends on the environment
-    import pytest_timeout  # noqa: F401
-
-    _HAVE_PYTEST_TIMEOUT = True
-except ModuleNotFoundError:  # pragma: no cover - depends on the environment
-    _HAVE_PYTEST_TIMEOUT = False
-
-
-def pytest_addoption(parser):
-    # pytest-timeout owns the ``timeout`` ini option when installed; this
-    # registers it otherwise so pyproject.toml's ``timeout = 120`` is
-    # honoured (by the SIGALRM fallback below) instead of warned about.
-    if not _HAVE_PYTEST_TIMEOUT:
-        parser.addini(
-            "timeout",
-            "per-test wall-clock budget in seconds (fallback shim)",
-            default="0",
-        )
-
-
-if not _HAVE_PYTEST_TIMEOUT and hasattr(signal, "SIGALRM"):
-
-    @pytest.hookimpl(hookwrapper=True)
-    def pytest_runtest_call(item):
-        try:
-            budget = float(item.config.getini("timeout") or 0)
-        except (TypeError, ValueError):
-            budget = 0.0
-        if budget <= 0 or threading.current_thread() is not threading.main_thread():
-            yield
-            return
-
-        def _alarm(signum, frame):
-            raise TimeoutError(
-                f"{item.nodeid} exceeded the {budget:g}s wall-clock budget"
-            )
-
-        old = signal.signal(signal.SIGALRM, _alarm)
-        signal.setitimer(signal.ITIMER_REAL, budget)
-        try:
-            yield
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, old)
+# The per-test budget (``timeout`` in pyproject.toml) without pytest-timeout.
+from tests.timeout_fallback import pytest_addoption, pytest_runtest_call  # noqa: F401
 
 
 def _sigkill_available() -> bool:

@@ -12,12 +12,14 @@ from repro.bench.engines import (
     link_resource,
     resolve_placements,
 )
+from repro.bench.fio import FioRunner
 from repro.bench.jobfile import FioJob
-from repro.errors import BenchmarkError, RoutingError
+from repro.errors import AllocationError, BenchmarkError, RoutingError
 from repro.faults import FaultedMachine, LinkFail
 from repro.interconnect.planes import PLANE_DMA
 from repro.memory.allocator import PageAllocator
 from repro.memory.controller import MemoryController
+from repro.osmodel.scheduler import CpuScheduler
 from repro.rng import RngRegistry
 from repro.topology.builders import scaled_host
 from repro.topology.modify import with_dram_gbps
@@ -175,6 +177,58 @@ class TestDeviceIOEngine:
             _rng("o"),
         )
         assert sixteen.aggregate_gbps < 0.95 * four.aggregate_gbps
+
+
+@pytest.fixture()
+def placement_calls(monkeypatch):
+    """Names of the ``allocate`` and ``place`` calls made while it is used."""
+    calls = []
+    allocate, place = PageAllocator.allocate, CpuScheduler.place
+
+    def spy_allocate(self, *args, **kwargs):
+        calls.append("allocate")
+        return allocate(self, *args, **kwargs)
+
+    def spy_place(self, *args, **kwargs):
+        calls.append("place")
+        return place(self, *args, **kwargs)
+
+    monkeypatch.setattr(PageAllocator, "allocate", spy_allocate)
+    monkeypatch.setattr(CpuScheduler, "place", spy_place)
+    return calls
+
+
+class TestGroupPlacements:
+    def test_grid_pins_and_allocates_nothing(self, host, placement_calls):
+        job = FioJob(name="grid", engine="rdma", rw="write")
+        grid = FioRunner(host).grid(job)
+        assert placement_calls == []
+        assert [sorted(row) for row in grid.values()] == [[1, 2, 4, 8, 16]] * 8
+        assert grid[3][16].streams == ((3, 3),) * 16
+
+    def test_membind_and_mixed_nodes_take_no_allocation(self, host, placement_calls):
+        engine = DeviceIOEngine(host)
+        bound = engine.run(FioJob(name="b", engine="tcp", rw="send", numjobs=3,
+                                  cpunodebind=5, membind=2), _rng())
+        mixed = engine.run(FioJob(name="m", engine="rdma", rw="read", numjobs=4,
+                                  stream_nodes=(2, 2, 0, 0)), _rng())
+        assert placement_calls == []
+        assert bound.streams == ((5, 2),) * 3
+        assert mixed.streams == ((2, 2), (2, 2), (0, 0), (0, 0))
+
+    def test_unbound_job_replays_per_stream(self, host, placement_calls):
+        result = DeviceIOEngine(host).run(
+            FioJob(name="u", engine="rdma", rw="write", numjobs=2), _rng()
+        )
+        assert placement_calls == ["place", "allocate"] * 2
+        assert result.streams == ((0, 0), (1, 1))
+
+    def test_unknown_membind_is_the_allocators_error(self, host):
+        job = FioJob(name="x", engine="rdma", rw="write", numjobs=2,
+                     cpunodebind=2, membind=42)
+        with pytest.raises(AllocationError,
+                           match="bind policy names unknown memory node 42"):
+            DeviceIOEngine(host).run(job, _rng())
 
 
 class TestMemcpyEngine:

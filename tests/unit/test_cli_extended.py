@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli.main import main
 
 
@@ -41,6 +43,18 @@ class TestConcurrent:
         out = capsys.readouterr().out
         assert "traffic counters" in out
         assert "total:" in out
+
+
+@pytest.mark.parametrize("command", [["fio", "--jobfile"], ["concurrent"]])
+def test_membind_to_an_unknown_node_exits_2(tmp_path, capsys, command):
+    jobfile = tmp_path / "bad.fio"
+    jobfile.write_text(
+        "[nic]\nioengine=rdma\nrw=write\nnumjobs=2\ncpunodebind=2\nmembind=42\n"
+    )
+    assert main([*command, str(jobfile)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bind policy names unknown memory node 42\n"
+    )
 
 
 class TestOnline:

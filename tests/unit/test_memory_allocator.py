@@ -139,6 +139,27 @@ class TestNode0Anomaly:
         assert {n: allocator.free_bytes(n) for n in (0, 3)} == before
 
 
+class TestUnknownMemoryNode:
+    @pytest.mark.parametrize(
+        "binding",
+        [MemBinding.bind(42), MemBinding.preferred(42), MemBinding.interleave(0, 42)],
+        ids=["bind", "preferred", "interleave"],
+    )
+    def test_binding_to_an_unknown_node_is_rejected(self, allocator, binding):
+        with pytest.raises(
+            AllocationError,
+            match=f"^{binding.policy.value} policy names unknown memory node 42$",
+        ):
+            allocator.allocate(64 * MiB, cpu_node=3, binding=binding)
+
+    def test_rejected_interleave_takes_no_pages(self, allocator, host):
+        before = {n: allocator.free_bytes(n) for n in host.node_ids}
+        with pytest.raises(AllocationError):
+            allocator.allocate(64 * MiB, cpu_node=3,
+                               binding=MemBinding.interleave(0, 42))
+        assert {n: allocator.free_bytes(n) for n in host.node_ids} == before
+
+
 class TestFits:
     def test_counts_bind_allocations(self, allocator):
         free = allocator.free_bytes(0)

@@ -9,6 +9,9 @@ largest Table I configuration).
 
 from __future__ import annotations
 
+import itertools
+import json
+
 import pytest
 
 from repro.bench.fio import FioRunner
@@ -22,6 +25,8 @@ from repro.flows.maxmin import maxmin_allocate
 from repro.flows.network import FlowNetwork
 from repro.rng import RngRegistry
 from repro.routing.table import RoutingTable
+from repro.service import AdvisoryBackend, PlacementService
+from repro.service.soak import LogicalClock, build_traffic
 from repro.solver import reset_sessions
 from repro.solver.incremental import AllocationCache
 from repro.topology.builders import hp_blade_32n, reference_host, scaled_host
@@ -190,3 +195,47 @@ def test_perf_characterize_64_nodes(benchmark):
     out = benchmark.pedantic(characterize, setup=fresh_host, rounds=5, iterations=1)
     assert len(out) == 32
     assert all(hc.write_model.n_classes >= 2 for hc in out.values())
+
+
+def test_perf_metrics_reply(benchmark):
+    """One ``metrics`` reply on a warm reference-host service.
+
+    The service is warmed on the soak mix of all 8 targets (its own
+    ``metrics`` lines left out).  Before each timed reply, 29 untimed
+    requests of that mix run, so every round re-renders the
+    histograms they changed and splices the reply, as a scrape every
+    ~30 requests does.
+    """
+    host = reference_host()
+    backend = AdvisoryBackend(host, registry=RngRegistry())
+    clock = LogicalClock()
+    service = PlacementService(backend, clock=clock)
+    backend.warm(tuple(host.node_ids))
+    root = RngRegistry()
+    mix = [
+        line
+        for target in host.node_ids
+        for line in build_traffic(
+            root.child(f"bench/metrics/target{target}"), host, target, 100
+        )
+        if '"method":"metrics"' not in line
+    ]
+    for line in mix:
+        service.handle_line(line)
+        clock.advance()
+    lines = itertools.cycle(mix)
+    scrape_line = '{"jsonrpc":"2.0","id":"scrape","method":"metrics"}'
+
+    def between_scrapes():
+        for _ in range(29):
+            service.handle_line(next(lines))
+            clock.advance()
+        return (), {}
+
+    def scrape():
+        return service.handle_line(scrape_line)
+
+    reply = benchmark.pedantic(
+        scrape, setup=between_scrapes, rounds=300, iterations=1
+    )
+    assert json.loads(reply)["result"]["requests"] > len(mix)

@@ -57,6 +57,20 @@ class PerfClass:
         return node in self.node_ids
 
 
+def _check_inputs(
+    values: Mapping[int, float], machine: Machine, target_node: int
+) -> None:
+    """Reject an unknown target, missing nodes and non-positive or
+    non-finite values, as :class:`~repro.errors.ModelError`."""
+    if target_node not in machine.node_ids:
+        raise ModelError(f"unknown target node {target_node}")
+    missing = [n for n in machine.node_ids if n not in values]
+    if missing:
+        raise ModelError(f"values missing for nodes {missing}")
+    if not all(0 < v < math.inf for v in values.values()):
+        raise ModelError("bandwidth values must be finite and positive")
+
+
 def classify_nodes(
     values: Mapping[int, float],
     machine: Machine,
@@ -79,14 +93,7 @@ def classify_nodes(
     -------
     Classes in decreasing performance order, ranks 1..k.
     """
-    if target_node not in machine.node_ids:
-        raise ModelError(f"unknown target node {target_node}")
-    missing = [n for n in machine.node_ids if n not in values]
-    if missing:
-        raise ModelError(f"values missing for nodes {missing}")
-    if not all(0 < v < math.inf for v in values.values()):
-        raise ModelError("bandwidth values must be finite and positive")
-
+    _check_inputs(values, machine, target_node)
     first = [
         n
         for n in machine.node_ids
@@ -172,6 +179,7 @@ def classify_kmeans(
     """
     if k < 1:
         raise ModelError(f"k must be >= 1, got {k}")
+    _check_inputs(values, machine, target_node)
     first = [
         n
         for n in machine.node_ids

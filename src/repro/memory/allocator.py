@@ -129,7 +129,6 @@ class PageAllocator:
             if take > 0:
                 got[node] = got.get(node, 0) + take * PAGE_BYTES
                 self._free[node] -= take * PAGE_BYTES
-                self.stats.record(node, intended, cpu_node, take)
                 need -= take
             if need == 0:
                 break
@@ -142,6 +141,10 @@ class PageAllocator:
                 f"cannot allocate {size_bytes} bytes on {where} "
                 f"({need * PAGE_BYTES} bytes short)"
             )
+        # Counted only once the allocation stands, one take per node in
+        # take order (candidate nodes are distinct).
+        for node, size in got.items():
+            self.stats.record(node, intended, cpu_node, size // PAGE_BYTES)
         return Allocation(bytes_by_node=got)
 
     def _interleave(self, pages: int, cpu_node: int, nodes: tuple[int, ...]) -> Allocation:
@@ -161,7 +164,10 @@ class PageAllocator:
                 )
             got[node] = want * PAGE_BYTES
             self._free[node] -= want * PAGE_BYTES
-            self.stats.record(node, node, cpu_node, want, interleaved=True)
+        for node, size in got.items():
+            self.stats.record(
+                node, node, cpu_node, size // PAGE_BYTES, interleaved=True
+            )
         return Allocation(bytes_by_node=got)
 
     def release(self, allocation: Allocation) -> None:

@@ -14,10 +14,10 @@ cost under 5 % of serving throughput):
 * :class:`Hist` — mergeable log-bucketed streaming histograms with
   exact count/sum and p50/p90/p99 extraction.  Merging two histograms
   is bucket-wise addition, bit-identical to having fed one histogram
-  the concatenated stream (the property suite pins the merge laws), so
-  per-``(method, tier)`` recordings can be folded into per-method and
-  per-tier views at read time instead of paying two updates per
-  request.
+  the concatenated stream (the property suite pins the merge laws).
+  Each histogram renders its summary's wire text once per change
+  (:meth:`Hist.wire`), so a ``metrics`` call re-renders only the
+  histograms that saw traffic since the last one.
 * :class:`FlightRecorder` — a bounded ring buffer holding the last N
   completed request spans and the last K error/degraded/slow/drift
   events with their tags.  Dumpable on demand (``obs tail``, the
@@ -25,9 +25,12 @@ cost under 5 % of serving throughput):
   without waiting for process exit.
 * :class:`LivePlane` — the registry tying them together: named
   histograms, named counters, and the flight recorder.  The service
-  owns one plane; every duration it records is measured on the *service
-  clock*, so the deterministic soak (logical clock) reads no wall
-  clock anywhere and same-seed twins stay byte-identical.
+  owns one plane and folds each drained ``(method, tier)`` latency
+  group straight into its per-method and per-tier views
+  (:meth:`LivePlane.record_latency`), so a read merges nothing.  Every
+  duration it records is measured on the *service clock*, so the
+  deterministic soak (logical clock) reads no wall clock anywhere and
+  same-seed twins stay byte-identical.
 * :class:`DriftWatch` — per-``(target, mode)`` online estimators fed
   by every tier-3 solve and every served tier-1/2 answer.  When a new
   solve lands, the watch compares it against the class model the fast
@@ -44,6 +47,7 @@ obs scrape`` output is a pure function of the payload.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter, deque
 from typing import Mapping
@@ -79,6 +83,37 @@ EVENT_CAPACITY = 64
 #: Quantiles every histogram summary extracts.
 _QUANTILES = ((0.50, "p50"), (0.90, "p90"), (0.99, "p99"))
 
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def _wire_number(value) -> str:
+    """``value`` exactly as the service's wire encoder writes it.
+
+    A finite ``float`` is its ``repr`` and an ``int`` its digits (what
+    the C JSON encoder emits); anything else — ``None``, infinities, a
+    float subclass — goes through :func:`json.dumps`, whose scalar
+    encoding is the wire encoder's.
+    """
+    kind = type(value)
+    if kind is float and value - value == 0.0:
+        return _float_repr(value)
+    if kind is int:
+        return _int_repr(value)
+    return json.dumps(value)
+
+
+#: Bucket index -> its rounded upper bound as wire text.  Bounded by
+#: the float range (a few thousand indices) and shared by every
+#: histogram: most buckets recur across renders.
+_UPPER_TEXT: dict[int, str] = {}
+
+#: A summary's wire text: its keys in sorted order, compact.
+_SUMMARY_WIRE = (
+    '{"buckets":[%s],"count":%s,"max":%s,"min":%s,'
+    '"p50":%s,"p90":%s,"p99":%s,"sum":%s}'
+)
+
 
 class Hist:
     """A mergeable log-bucketed streaming histogram.
@@ -90,12 +125,13 @@ class Hist:
     crosses ``ceil(q * count)``, so they are within one bucket width
     (~19 %) of the true empirical quantile.
 
-    Recording is two dict updates and four scalar updates (one
-    ``math.log`` for positive values) — cheap enough to sit on the
+    Recording is two dict updates and five scalar updates (one
+    ``math.log`` for positive values; the fifth bumps the change count
+    that invalidates the rendered summary) — cheap enough to sit on the
     tier-1 serving path.
     """
 
-    __slots__ = ("counts", "count", "sum", "min", "max")
+    __slots__ = ("counts", "count", "sum", "min", "max", "_changes", "_wire")
 
     def __init__(self) -> None:
         self.counts: dict[int, int] = {}
@@ -103,6 +139,9 @@ class Hist:
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
+        #: Bumped by every change; tags the rendered text it was read at.
+        self._changes = 0
+        self._wire: "tuple[int, str] | None" = None
 
     @staticmethod
     def bucket_index(value: float) -> int:
@@ -132,6 +171,7 @@ class Hist:
             self.min = value
         if value > self.max:
             self.max = value
+        self._changes += 1
 
     def record_many(self, value: float, n: int) -> None:
         """Fold ``n`` identical observations in — one bucket update.
@@ -153,6 +193,7 @@ class Hist:
             self.min = value
         if value > self.max:
             self.max = value
+        self._changes += 1
 
     def merge(self, other: "Hist") -> "Hist":
         """Fold ``other`` in (bucket-wise addition); returns ``self``.
@@ -170,6 +211,7 @@ class Hist:
             self.min = other.min
         if other.max > self.max:
             self.max = other.max
+        self._changes += 1
         return self
 
     def quantile(self, q: float) -> "float | None":
@@ -188,44 +230,82 @@ class Hist:
         """``{"p50": ..., "p90": ..., "p99": ...}`` (``None`` if empty)."""
         return {name: self.quantile(q) for q, name in _QUANTILES}
 
-    def to_dict(self) -> dict:
-        """JSON-able summary: exact moments, quantiles, sparse buckets.
+    def wire(self) -> str:
+        """The JSON summary as wire text, rendered once per change.
 
-        ``buckets`` rows are ``[upper_bound, count]`` in bucket order
-        (non-cumulative); every float is rounded to 9 decimals so
-        logical-clock twins encode byte-identically.  One sorted walk
-        serves the bucket rows and all three quantiles (the ``metrics``
-        method renders every histogram per call).
+        Sorted keys, compact separators and the floats the service's
+        wire encoder writes, so the text splices into a ``metrics``
+        reply as-is.  The summary holds exact moments, the three
+        quantiles and sparse ``buckets`` rows ``[upper_bound, count]``
+        in bucket order (non-cumulative); every float is rounded to 9
+        decimals so logical-clock twins encode byte-identically.  One
+        sorted walk serves the bucket rows and all three quantiles.
+        The text is cached until the next :meth:`record`,
+        :meth:`record_many` or :meth:`merge` — also one that lands
+        while the text renders (the TCP transport's worker threads
+        share the plane), since the cache is tagged with the change
+        count it was read at.
         """
-        items = sorted(self.counts.items())
+        changes = self._changes
+        cached = self._wire
+        if cached is not None and cached[0] == changes:
+            return cached[1]
         n = self.count
-        summary = {
-            "count": n,
-            "sum": round(self.sum, 9),
-            "min": round(self.min, 9) if n else None,
-            "max": round(self.max, 9) if n else None,
-            "buckets": [
-                [round(self.bucket_upper(idx), 9), count]
-                for idx, count in items
-            ],
-        }
-        if not n:
-            for _q, name in _QUANTILES:
-                summary[name] = None
-            return summary
-        targets = [
-            (min(max(math.ceil(q * n), 1), n), name) for q, name in _QUANTILES
-        ]
+        uppers = _UPPER_TEXT
+        rows = []
+        marks = []
+        # A whole cumulative count reaches ceil(q * n) exactly when it
+        # reaches q * n, and ceil(q * n) already lies in [1, n] for
+        # n >= 1.  The trailing infinite cut stops the walk.
+        cuts = [q * n for q, _name in _QUANTILES]
+        cuts.append(math.inf)
+        cut = cuts[0]
         cumulative = 0
-        pos = 0
-        for (upper, count), _idx in zip(summary["buckets"], items):
+        for idx, count in sorted(self.counts.items()):
+            upper = uppers.get(idx)
+            if upper is None:
+                upper = uppers[idx] = _wire_number(
+                    round(self.bucket_upper(idx), 9)
+                )
+            rows.append(f"[{upper},{count}]")
             cumulative += count
-            while pos < len(targets) and cumulative >= targets[pos][0]:
-                summary[targets[pos][1]] = upper
-                pos += 1
-            if pos == len(targets):
-                break
-        return summary
+            while cumulative >= cut:
+                marks.append(upper)
+                cut = cuts[len(marks)]
+        if n:
+            low = _wire_number(round(self.min, 9))
+            high = _wire_number(round(self.max, 9))
+        else:
+            marks = ["null"] * len(_QUANTILES)
+            low = high = "null"
+        total = _wire_number(round(self.sum, 9))
+        if len(marks) == len(_QUANTILES):
+            text = _SUMMARY_WIRE % (
+                ",".join(rows), n, high, low, *marks, total
+            )
+        else:
+            # Records racing on other threads can lose bucket updates
+            # and leave the counts short of n: the quantiles the walk
+            # never reached are left out, as the summary always did.
+            text = "".join([
+                '{"buckets":[', ",".join(rows), '],"count":', str(n),
+                ',"max":', high, ',"min":', low,
+                *[
+                    f',"{name}":{mark}'
+                    for (_q, name), mark in zip(_QUANTILES, marks)
+                ],
+                ',"sum":', total, "}",
+            ])
+        self._wire = (changes, text)
+        return text
+
+    def to_dict(self) -> dict:
+        """The JSON summary (see :meth:`wire`): that text, parsed.
+
+        Keys come in the wire's sorted order; the dict and the wire
+        form cannot disagree.
+        """
+        return json.loads(self.wire())
 
 
 class FlightRecorder:
@@ -352,6 +432,11 @@ class LivePlane:
         self.hists: dict[str, Hist] = {}
         self.counters: dict[str, int] = {}
         self.flight = FlightRecorder(span_capacity, event_capacity)
+        #: (method, tier) -> (method view, tier view or None), built on
+        #: first use — two f-strings per drained group are measurable.
+        self._latency_views: dict[tuple, tuple] = {}
+        #: ``(name, encoded name key)`` of :attr:`hists`, sorted by name.
+        self._wire_order: list[tuple[str, str]] = []
 
     def hist(self, name: str) -> Hist:
         """The named histogram (created empty on first use)."""
@@ -369,31 +454,43 @@ class LivePlane:
         counters = self.counters
         counters[name] = counters.get(name, 0) + n
 
-    def merged_hists(self) -> "dict[str, Hist]":
-        """The exposition view of :attr:`hists`, sorted by name.
+    def record_latency(self, method: str, tier, wall_s: float, n: int) -> None:
+        """Fold ``n`` requests of one ``(method, tier)`` group, each
+        ``wall_s`` long, into the latency views.
 
-        Hot-path recordings land in one histogram per
-        ``(method, tier)`` under ``service.latency/<method>/<tier>``;
-        this view folds them (bucket-wise merges — the reason
-        histograms are mergeable) into ``service.latency.method.
-        <method>`` and ``service.latency.tier.<tier>`` aggregates.
-        The raw per-pair histograms stay in-process only: the merged
-        views are the exposition surface, and rendering the raw pairs
-        too would double the cost of every ``metrics`` call.
+        The group lands in ``service.latency.method.<method>`` and,
+        unless the answer carried no tier (``-``), in
+        ``service.latency.tier.<tier>`` — two bucket updates, at drain
+        time, so reading the views merges nothing.
         """
-        merged: dict[str, Hist] = {}
-        for name, hist in self.hists.items():
-            if not name.startswith("service.latency/"):
-                merged[name] = hist
-                continue
-            _prefix, method, tier = name.split("/", 2)
-            by_method = f"service.latency.method.{method}"
-            merged.setdefault(by_method, Hist()).merge(hist)
-            if tier != "-":
-                merged.setdefault(
-                    f"service.latency.tier.{tier}", Hist()
-                ).merge(hist)
-        return {name: merged[name] for name in sorted(merged)}
+        views = self._latency_views.get((method, tier))
+        if views is None:
+            views = self._latency_views[(method, tier)] = (
+                self.hist(f"service.latency.method.{method}"),
+                None if tier == "-"
+                else self.hist(f"service.latency.tier.{tier}"),
+            )
+        by_method, by_tier = views
+        by_method.record_many(wall_s, n)
+        if by_tier is not None:
+            by_tier.record_many(wall_s, n)
+
+    def histograms_wire(self) -> str:
+        """The ``histograms`` object of :meth:`snapshot` as wire text.
+
+        Sorted by name and joined from each histogram's cached
+        :meth:`Hist.wire` text and its cached encoded name, so only the
+        histograms that changed since the last call are rendered.
+        """
+        hists = self.hists
+        order = self._wire_order
+        if len(order) != len(hists):  # histograms are only ever added
+            order = self._wire_order = [
+                (name, json.dumps(name) + ":") for name in sorted(hists)
+            ]
+        return "{" + ",".join([
+            key + hists[name].wire() for name, key in order
+        ]) + "}"
 
     def snapshot(self) -> dict:
         """JSON-able plane state: counters, histogram summaries and
@@ -402,10 +499,7 @@ class LivePlane:
             "counters": {
                 name: self.counters[name] for name in sorted(self.counters)
             },
-            "histograms": {
-                name: hist.to_dict()
-                for name, hist in self.merged_hists().items()
-            },
+            "histograms": json.loads(self.histograms_wire()),
             "flight_recorder": self.flight.occupancy(),
         }
 
@@ -425,6 +519,11 @@ class NullLivePlane(LivePlane):
         pass
 
     def count(self, name: str, n: int = 1) -> None:  # noqa: D102
+        pass
+
+    def record_latency(  # noqa: D102
+        self, method: str, tier, wall_s: float, n: int
+    ) -> None:
         pass
 
 

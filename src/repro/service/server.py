@@ -34,8 +34,8 @@ Breaker semantics (the degraded-mode contract):
 answered even while the breaker is open or the server is draining.
 
 Every served line is also folded into the service's **live metrics
-plane** (:mod:`repro.obs.live`): one latency observation into a
-per-``(method, tier)`` streaming histogram, one completed span into
+plane** (:mod:`repro.obs.live`): one latency observation into its
+method's and its tier's streaming histograms, one completed span into
 the flight recorder, and — for errors, degraded answers, slow requests
 and breaker trips — a flight-recorder event.  All of it is measured on
 the service clock (no wall-clock reads of its own), so the
@@ -47,6 +47,7 @@ byte-identical, and all of it is plain dict/array updates gated under
 from __future__ import annotations
 
 import asyncio
+import json
 import sys
 import time
 from collections import Counter
@@ -91,6 +92,12 @@ _OBS_BATCH = 4 * 4096
 #: hot-path tier lookup branch-free.
 _NO_RESULT: dict = {}
 
+#: Where a ``metrics`` reply's histograms object goes: before the
+#: result's ``machine`` key, the next key in sorted order.  Every key
+#: after it has a fixed schema (an escaped string, ints, a float), so
+#: the last match in an encoded reply is always the top-level key.
+_AFTER_HISTOGRAMS = ',"machine":'
+
 #: Self-healing counters pre-seeded at zero so `metrics`/`obs scrape`
 #: always expose the repair plane, active or not.
 _HEALING_COUNTERS = (
@@ -100,6 +107,20 @@ _HEALING_COUNTERS = (
     "service.repair.promoted",
     "service.repair.failed",
 )
+
+
+class _MetricsResult(dict):
+    """A ``metrics`` result whose histograms ride along as wire text.
+
+    The dict holds every field but ``histograms``;
+    :meth:`PlacementService.handle_line` splices ``histograms_wire``
+    (:meth:`~repro.obs.live.LivePlane.histograms_wire`) into the
+    encoded envelope, byte-identical to encoding
+    :meth:`PlacementService.metrics_payload`, so a reply re-renders
+    only the histograms that changed since the last one.
+    """
+
+    __slots__ = ("histograms_wire",)
 
 
 @dataclass(frozen=True)
@@ -192,9 +213,6 @@ class PlacementService:
         if self.live.enabled:
             for name in _HEALING_COUNTERS:
                 self.live.count(name, 0)
-        # (method, tier) -> Hist, prebuilt on first use — an f-string
-        # per request is measurable at tier-1 rates.
-        self._lat_hists: dict[tuple, object] = {}
         # Per-line observation buffer (None when the plane is off):
         # the hot path appends four scalars per line — flat, so the
         # buffer is invisible to the GC; _drain_obs folds them.
@@ -296,40 +314,53 @@ class PlacementService:
     def metrics_payload(self, flight: bool = False) -> dict:
         """The ``metrics`` result: the live plane, JSON-able.
 
-        Counters, histogram summaries (per ``(method, tier)`` plus the
-        merged per-method / per-tier views), breaker and tier
-        accounting, drift-watch state, and flight-recorder
-        occupancy — with ``flight=True``, the full flight-recorder
-        dump too.  Everything is read on the service clock; the
-        payload is a pure function of the request history, which is
-        what lets the soak's twin-diff gate pin it byte-identical and
-        ``obs scrape`` hold a golden exposition.
+        Counters, the per-method / per-tier latency histogram
+        summaries, breaker and tier accounting, drift-watch state, and
+        flight-recorder occupancy — with ``flight=True``, the full
+        flight-recorder dump too.  Everything is read on the service
+        clock; the payload is a pure function of the request history,
+        which is what lets the soak's twin-diff gate pin it
+        byte-identical and ``obs scrape`` hold a golden exposition.
+        """
+        return self._metrics_result(flight, {})
+
+    def _metrics_result(self, flight: bool, result: dict) -> dict:
+        """Fill ``result`` with the ``metrics`` fields.
+
+        A :class:`_MetricsResult` gets the histograms as wire text for
+        :meth:`handle_line` to splice; any other dict gets them parsed.
         """
         self._drain_obs()
-        snap = self.live.snapshot()
-        payload = {
-            "machine": self.backend.machine.name,
-            "uptime_s": round(max(0.0, self.clock() - self.started_at), 6),
-            "requests": self.requests,
-            "degraded_served": self.degraded_served,
-            "breaker": {
-                "state": self.breaker.state,
-                "trips": self.breaker.trip_count,
-            },
-            "tiers": {
-                str(t): self.tier_answers[t]
-                for t in sorted(self.tier_answers)
-            },
-            "errors": {k: self.errors[k] for k in sorted(self.errors)},
-            "counters": snap["counters"],
-            "histograms": snap["histograms"],
-            "flight_recorder": snap["flight_recorder"],
+        live = self.live
+        counters = live.counters
+        result["machine"] = self.backend.machine.name
+        result["uptime_s"] = round(
+            max(0.0, self.clock() - self.started_at), 6
+        )
+        result["requests"] = self.requests
+        result["degraded_served"] = self.degraded_served
+        result["breaker"] = {
+            "state": self.breaker.state,
+            "trips": self.breaker.trip_count,
         }
+        result["tiers"] = {
+            str(t): self.tier_answers[t] for t in sorted(self.tier_answers)
+        }
+        result["errors"] = {k: self.errors[k] for k in sorted(self.errors)}
+        result["counters"] = {
+            name: counters[name] for name in sorted(counters)
+        }
+        histograms = live.histograms_wire()
+        if type(result) is _MetricsResult:
+            result.histograms_wire = histograms
+        else:
+            result["histograms"] = json.loads(histograms)
+        result["flight_recorder"] = live.flight.occupancy()
         if self.drift is not None:
-            payload["drift"] = self.drift.stats()
+            result["drift"] = self.drift.stats()
         if flight:
-            payload["flight"] = self.live.flight.dump()
-        return payload
+            result["flight"] = live.flight.dump()
+        return result
 
     # --- dispatch ----------------------------------------------------------
     def _execute(self, method: str, params: dict) -> dict:
@@ -375,9 +406,8 @@ class PlacementService:
         if method == "ready":
             return result_response(req_id, self.ready_payload())
         if method == "metrics":
-            return result_response(
-                req_id, self.metrics_payload(filled["flight"])
-            )
+            result = self._metrics_result(filled["flight"], _MetricsResult())
+            return result_response(req_id, result)
         if self.draining:
             return self._error(
                 req_id,
@@ -442,22 +472,22 @@ class PlacementService:
         grouped by ``(method, tier, wall_s)`` — one C-speed
         :class:`Counter` pass; on the deterministic logical clock a
         whole batch collapses to a handful of groups — then each group
-        lands as one :meth:`~repro.obs.live.Hist.record_many` plus one
-        tier-counter update, and the newest ``span_capacity`` lines
-        enter the flight-recorder span ring as one ``deque.extend``.
-        ``slow`` events are also detected here (a slow group is
-        rescanned for its lines), so they reach the event ring at the
-        next drain rather than mid-request.  Drains run when the
-        buffer fills (:data:`_OBS_BATCH`) and before every read of the
-        plane (``metrics``, breaker-trip and crash dumps), so no
-        reader ever sees a stale view.
+        lands in its method's and tier's latency views
+        (:meth:`~repro.obs.live.LivePlane.record_latency`, two bucket
+        updates) plus one tier-counter update, and the newest
+        ``span_capacity`` lines enter the flight-recorder span ring as
+        one ``deque.extend``.  ``slow`` events are also detected here
+        (a slow group is rescanned for its lines), so they reach the
+        event ring at the next drain rather than mid-request.  Drains
+        run when the buffer fills (:data:`_OBS_BATCH`) and before every
+        read of the plane (``metrics``, breaker-trip and crash dumps),
+        so no reader ever sees a stale view.
         """
         buf = self._obs_buf
         err = self._obs_err
         if not buf and not err:
             return
         live = self.live
-        lat = self._lat_hists
         counters = live.counters
         flight = live.flight
         if err:
@@ -488,20 +518,11 @@ class PlacementService:
                     zip(methods, tiers, walls)
                 ).items()
             ]
+        record_latency = live.record_latency
         for method, tier, wall_s, n in groups:
-            key = (method, tier)
-            hist = lat.get(key)
-            if hist is None:
-                if method not in METHODS:
-                    # Bound hist cardinality against hostile names.
-                    method = "?"
-                    key = ("?", tier)
-                    hist = lat.get(key)
-                if hist is None:
-                    hist = lat[key] = live.hist(
-                        f"service.latency/{method}/{tier}"
-                    )
-            hist.record_many(wall_s, n)
+            if method not in METHODS:
+                method = "?"  # bound hist cardinality against hostile names
+            record_latency(method, tier, wall_s, n)
             name = _TIER_COUNTERS.get(tier)
             if name is not None:
                 counters[name] = counters.get(name, 0) + n
@@ -577,6 +598,15 @@ class PlacementService:
             return encode_result_line(
                 response["id"], result.wire_pre,
                 result["staleness_s"], result.wire_post,
+            )
+        if type(result) is _MetricsResult:
+            # Encode the envelope without the histograms, then splice
+            # in their pre-rendered object where its key sorts.
+            line = encode_message(response)
+            cut = line.rindex(_AFTER_HISTOGRAMS)
+            return (
+                line[:cut] + ',"histograms":' + result.histograms_wire
+                + line[cut:]
             )
         return encode_message(response)
 

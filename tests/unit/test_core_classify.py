@@ -114,3 +114,23 @@ class TestClassifyKmeans:
             warnings.simplefilter("error")
             km = classify_kmeans(write_values, host, 7, k=4)
         assert [c.node_ids for c in km] == [(6, 7), (0, 1, 4, 5), (2, 3)]
+
+    def test_nan_value_rejected_like_classify_nodes(self, host, write_values):
+        write_values[3] = float("nan")
+        with pytest.raises(ModelError, match="must be finite and positive"):
+            classify_kmeans(write_values, host, 7, k=3)
+
+    def test_unknown_target_rejected_like_classify_nodes(
+        self, host, write_values
+    ):
+        with pytest.raises(ModelError, match="^unknown target node 42$"):
+            classify_kmeans(write_values, host, 42, k=3)
+
+    def test_missing_node_rejected_like_classify_nodes(
+        self, host, write_values
+    ):
+        del write_values[6]
+        with pytest.raises(ModelError, match=r"values missing for nodes \[6\]"):
+            classify_kmeans(write_values, host, 7, k=3)
+        with pytest.raises(ModelError, match=r"values missing for nodes \[6\]"):
+            classify_nodes(write_values, host, 7)

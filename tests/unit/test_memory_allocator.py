@@ -1,5 +1,6 @@
 """Page allocator policy semantics."""
 
+import copy
 import math
 
 import pytest
@@ -186,3 +187,54 @@ class TestFits:
     def test_unknown_node_rejected(self, allocator):
         with pytest.raises(AllocationError, match="unknown CPU node 42"):
             allocator.fits(4096, 42)
+
+
+class TestFailedAllocationStats:
+    """A failed allocation leaves ``numastat`` exactly as it found it."""
+
+    def test_failed_bind_counts_no_pages(self, allocator):
+        before = copy.deepcopy(allocator.stats)
+        frees = {n: allocator.free_bytes(n) for n in (2, 3)}
+        size = frees[2] + frees[3] + PAGE_BYTES  # one page past both nodes
+        with pytest.raises(AllocationError, match="bytes short"):
+            allocator.allocate(size, cpu_node=2, binding=MemBinding.bind(2, 3))
+        assert {n: allocator.free_bytes(n) for n in (2, 3)} == frees
+        assert allocator.stats == before
+
+    def test_failed_interleave_counts_no_pages(self, allocator):
+        before = copy.deepcopy(allocator.stats)
+        frees = {n: allocator.free_bytes(n) for n in (0, 1)}
+        size = 2 * (frees[0] + PAGE_BYTES)  # node 1's half fits, node 0's not
+        with pytest.raises(AllocationError, match="node 0 lacks"):
+            allocator.allocate(
+                size, cpu_node=1, binding=MemBinding.interleave(1, 0)
+            )
+        assert {n: allocator.free_bytes(n) for n in (0, 1)} == frees
+        assert allocator.stats == before
+
+    def test_spilled_bind_counts_each_node_once(self, allocator):
+        free6 = allocator.free_bytes(6)
+        allocator.allocate(
+            free6 + 16 * MiB, cpu_node=0, binding=MemBinding.bind(6, 5)
+        )
+        stats = allocator.stats
+        spill = 16 * MiB // PAGE_BYTES
+        assert stats.numa_hit[6] == free6 // PAGE_BYTES
+        assert stats.numa_miss[5] == spill
+        assert stats.numa_foreign[6] == spill
+        assert stats.other_node[6] == free6 // PAGE_BYTES
+        assert stats.other_node[5] == spill
+        assert sum(stats.local_node.values()) == 0
+
+    def test_interleave_counts_each_node_once(self, allocator):
+        allocator.allocate(
+            8 * MiB + PAGE_BYTES, cpu_node=1, binding=MemBinding.interleave(1, 2)
+        )
+        stats = allocator.stats
+        half = 4 * MiB // PAGE_BYTES
+        assert stats.numa_hit == {**dict.fromkeys(stats.node_ids, 0),
+                                  1: half + 1, 2: half}
+        assert stats.interleave_hit[1] == half + 1
+        assert stats.interleave_hit[2] == half
+        assert stats.local_node[1] == half + 1
+        assert stats.other_node[2] == half

@@ -143,19 +143,25 @@ class TestLivePlane:
         assert plane.counters == {"a": 3}
         assert plane.hists["h"].count == 1
 
-    def test_merged_hists_fold_method_and_tier_views(self):
+    def test_record_latency_folds_method_and_tier_views(self):
         plane = LivePlane()
-        plane.record("service.latency/advise/1", 0.001)
-        plane.record("service.latency/advise/2", 0.002)
-        plane.record("service.latency/health/-", 0.0)
-        merged = plane.merged_hists()
-        assert merged["service.latency.method.advise"].count == 2
-        assert merged["service.latency.tier.1"].count == 1
-        assert merged["service.latency.tier.2"].count == 1
+        plane.record_latency("advise", 1, 0.001, 1)
+        plane.record_latency("advise", 2, 0.002, 1)
+        plane.record_latency("health", "-", 0.0, 1)
+        merged = plane.snapshot()["histograms"]
+        assert merged["service.latency.method.advise"]["count"] == 2
+        assert merged["service.latency.tier.1"]["count"] == 1
+        assert merged["service.latency.tier.2"]["count"] == 1
         # '-' (untiered) answers get no tier aggregate
         assert "service.latency.tier.-" not in merged
-        assert merged["service.latency.method.health"].count == 1
+        assert merged["service.latency.method.health"]["count"] == 1
         assert list(merged) == sorted(merged)
+
+    def test_null_plane_folds_nothing(self):
+        plane = NullLivePlane()
+        plane.record_latency("advise", 1, 0.001, 3)
+        assert plane.hists == {}
+        assert plane.snapshot()["histograms"] == {}
 
     def test_snapshot_shape(self):
         snap = LivePlane().snapshot()

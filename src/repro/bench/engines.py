@@ -15,6 +15,7 @@ Two engine families:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -120,19 +121,23 @@ def device_service_levels(
     return [levels[key] for key in keys]
 
 
-def _copy_resources(machine: Machine, src: int, dst: int) -> tuple[str, ...]:
+def _copy_resources(
+    machine: Machine, src: int, dst: int, hops: "tuple[int, ...] | None" = None
+) -> tuple[str, ...]:
     """The resources every thread of one bulk copy src -> dst crosses.
 
     The source controller, the sink controller unless the copy is
     node-local, and the link between each two consecutive hops of the
-    DMA-plane route.  Names come straight from the node ids
+    DMA-plane route (``hops``, when the caller already routed the pair).
+    Names come straight from the node ids
     (:func:`~repro.memory.controller.dma_resource`,
     :func:`~repro.solver.capacity.link_resource`): no controller or
     link object is built only to read its name.
     """
     if src == dst:
         return (dma_resource(src),)
-    hops = machine.routing.route(PLANE_DMA, src, dst)
+    if hops is None:
+        hops = machine.routing.route(PLANE_DMA, src, dst)
     return (
         dma_resource(src),
         dma_resource(dst),
@@ -188,13 +193,21 @@ def bulk_copy_gbps_many(
     """:func:`bulk_copy_gbps` for many ``(src, dst)`` pairs in one batch.
 
     A copy's threads are one signature group, so each distinct pair is
-    routed once and solved once, in closed form, by the session's
-    :meth:`~repro.solver.session.SolverSession.equal_shares` under one
-    stats phase; repeated pairs reuse that total.  A total adds the
-    per-thread share ``threads`` times, as ``sum(rates.values())`` does
-    over the copy's flow list, so values equal max-min over that list.
-    Every pair is routed before any is solved, as building all the flow
-    lists first would.
+    routed once and solved once, in closed form: its per-thread share is
+    ``min(demand, bottleneck / threads)``, where the bottleneck is the
+    least capacity among the source controller, the sink controller
+    (unless the copy is local) and the links of its DMA-plane route,
+    read from the session's capacity map (:func:`_route_bottlenecks`).
+    That is the float :meth:`~repro.solver.session.SolverSession.equal_shares`
+    returns over :func:`_copy_resources`, the reference the whole call
+    goes through instead when a capacity is not positive and finite, a
+    resource is missing or the demand is not positive, so those raise
+    the reference's errors.  Either way the batch is one stats phase
+    with one solve per distinct pair; repeated pairs reuse that total.
+    A total adds the per-thread share ``threads`` times, as
+    ``sum(rates.values())`` does over the copy's flow list, so values
+    equal max-min over that list.  Every pair is routed before any is
+    solved, as building all the flow lists first would.
     """
     if threads < 1:
         raise BenchmarkError(f"need >= 1 copy thread, got {threads}")
@@ -202,13 +215,70 @@ def bulk_copy_gbps_many(
     keys = [(src, dst) for src, dst in pairs]
     distinct = list(dict.fromkeys(keys))
     demand = machine.params.dma_per_thread_gbps
-    problems = [(_copy_resources(machine, src, dst), demand, threads)
-                for src, dst in distinct]
+    route = machine.routing.route
+    routes = [None if src == dst else route(PLANE_DMA, src, dst)
+              for src, dst in distinct]
+    caps = session.capacities()
+    bottlenecks = (
+        _route_bottlenecks(machine, caps, distinct, routes) if demand > 0 else None
+    )
+    if bottlenecks is None:
+        shares = session.equal_shares(
+            [(_copy_resources(machine, src, dst, hops), demand, threads)
+             for (src, dst), hops in zip(distinct, routes)],
+            caps,
+        )
+    else:
+        demand = float(demand)
+        with session.stats.phase("allocate"):
+            shares = [min(demand, least / threads) for least in bottlenecks]
+            session.stats.solves += len(shares)
     totals = {
-        pair: sum([share] * threads)
-        for pair, share in zip(distinct, session.equal_shares(problems))
+        pair: sum([share] * threads) for pair, share in zip(distinct, shares)
     }
     return [totals[pair] for pair in keys]
+
+
+def _route_bottlenecks(machine: Machine, caps, pairs, routes) -> list[float] | None:
+    """Each copy's least resource capacity, or ``None`` if the reference must decide.
+
+    ``routes[i]`` is ``pairs[i]``'s DMA-plane hops, ``None`` for a local
+    copy.  Capacities come from ``caps`` through a node / ``(a, b)``
+    index built once per call.  Division by a positive thread count is
+    monotone, so ``least / threads`` is the least of the per-resource
+    ``cap / threads`` that ``equal_shares`` takes.  ``None`` when an
+    indexed capacity is missing or not positive and finite, a copy
+    crosses a resource outside the index, or a route revisits a node
+    (its links could repeat).
+    """
+    ctrl = {node: caps.get(dma_resource(node)) for node in machine.node_ids}
+    link = {ends: caps.get(link_resource(*ends)) for ends in machine.links}
+    for cap in (*ctrl.values(), *link.values()):
+        if cap is None or not 0.0 < cap < math.inf:
+            return None
+    ctrl = {node: float(cap) for node, cap in ctrl.items()}
+    out: dict[int, dict[int, float]] = {}
+    for (a, b), cap in link.items():
+        out.setdefault(a, {})[b] = float(cap)
+    least = []
+    try:
+        for (src, dst), hops in zip(pairs, routes):
+            if hops is None:
+                least.append(ctrl[src])
+                continue
+            if len(set(hops)) != len(hops):
+                return None
+            low = min(ctrl[src], ctrl[dst])
+            a = hops[0]
+            for b in hops[1:]:
+                cap = out[a][b]
+                if cap < low:
+                    low = cap
+                a = b
+            least.append(low)
+    except KeyError:
+        return None
+    return least
 
 
 @dataclass(frozen=True)

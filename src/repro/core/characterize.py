@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.iomodel import IOModelBuilder
+from repro.core.iomodel import IOModelBuilder, sweep_targets
 from repro.core.model import IOPerformanceModel
 from repro.errors import ModelError
 from repro.obs import recorder as _obs
@@ -156,16 +156,16 @@ class HostCharacterizer:
         """Write+read models for ``target_node``."""
         return self.characterize_many((target_node,))[target_node]
 
-    def characterize_many(
-        self, nodes: "tuple[int, ...] | list[int]"
-    ) -> dict[int, HostCharacterization]:
+    def characterize_many(self, nodes) -> dict[int, HostCharacterization]:
         """Write+read models for several targets in one vectorized sweep.
 
         All targets' capacity probes go through the solver session in
         one batch per mode (:meth:`IOModelBuilder.build_many`); results
-        are identical to characterising the nodes one by one.
+        are identical to characterising the nodes one by one.  ``nodes``
+        is any iterable of distinct nodes
+        (:func:`~repro.core.iomodel.sweep_targets`).
         """
-        targets = tuple(nodes)
+        targets = sweep_targets(self.machine, nodes)
         with _obs.span("characterize.many", targets=len(targets)):
             write_models = self.builder.build_many(targets, "write")
             read_models = self.builder.build_many(targets, "read")

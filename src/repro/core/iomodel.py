@@ -38,7 +38,33 @@ from repro.solver.session import get_session
 from repro.topology.machine import Machine
 from repro.units import MiB
 
-__all__ = ["IOModelBuilder"]
+__all__ = ["IOModelBuilder", "sweep_targets"]
+
+
+def sweep_targets(machine: Machine, targets, repeats: bool = False) -> tuple[int, ...]:
+    """An Algorithm 1 sweep's target list, checked, as a tuple.
+
+    ``targets`` may be any iterable, and each must be a node of
+    ``machine``.  A sweep's models are keyed by target, so a target
+    listed twice cannot be merged: it raises
+    :class:`~repro.errors.ModelError` naming the node.
+    :meth:`HostCharacterizer.characterize_many
+    <repro.core.characterize.HostCharacterizer.characterize_many>` and
+    both :class:`~repro.fabric.FabricPool` sweeps check here, before
+    any probe runs or any task is dispatched.  With ``repeats``, a
+    repeated target passes: :meth:`IOModelBuilder.build_many` sweeps it
+    again, as a :meth:`~IOModelBuilder.measure_pair` loop over the list
+    would, and returns its one model.
+    """
+    targets = tuple(targets)
+    seen: set[int] = set()
+    for target_node in targets:
+        if target_node not in machine.node_ids:
+            raise ModelError(f"unknown target node {target_node}")
+        if target_node in seen and not repeats:
+            raise ModelError(f"target node {target_node} is listed twice")
+        seen.add(target_node)
+    return targets
 
 
 class IOModelBuilder:
@@ -150,32 +176,11 @@ class IOModelBuilder:
             samples = base * noise.factors(self.sigma, self.runs)
             return Measurement.from_samples(samples, protocol="mean")
 
-    def _noise_matrix(self, target_node: int, mode: str, m: int) -> "np.ndarray":
-        """The (nodes x runs) noise matrix of one model, one ``exp`` call.
-
-        Each node keeps its own registry stream
-        (``iomodel/{mode}/k…-i…-m…``), all of a model's derived in one
-        :meth:`~repro.rng.RngRegistry.streams` batch, and the draws match
-        :class:`~repro.osmodel.noise.NoiseModel` row by row, so the
-        vectorized sweep stays bit-identical to per-pair measurement.
-        """
-        if self.sigma == 0:
-            return np.ones((self.machine.n_nodes, self.runs))
-        mu = -0.5 * self.sigma * self.sigma
-        streams = self.registry.streams(
-            f"iomodel/{mode}/k{target_node}-i{i}-m{m}" for i in self.machine.node_ids
-        )
-        return np.exp(
-            np.stack([rng.normal(mu, self.sigma, size=self.runs) for rng in streams])
-        )
-
     def build(self, target_node: int, mode: str) -> IOPerformanceModel:
         """The full Algorithm 1 loop over every node ``i``, vectorized."""
         return self.build_many((target_node,), mode)[target_node]
 
-    def build_many(
-        self, targets: "tuple[int, ...] | list[int]", mode: str
-    ) -> dict[int, IOPerformanceModel]:
+    def build_many(self, targets, mode: str) -> dict[int, IOPerformanceModel]:
         """Algorithm 1 for several target nodes in one batched sweep.
 
         Semantically the per-node :meth:`measure_pair` loop per target,
@@ -189,15 +194,15 @@ class IOModelBuilder:
         error at the same probe after the same ``numa_alloc_onnode``
         calls.  The copy bandwidth of each distinct (source, sink) pair
         is solved once per builder, all of a sweep's new pairs in one
-        :func:`~repro.bench.engines.bulk_copy_gbps_many` batch, and each
-        model's noise matrix is drawn with a single vectorized ``exp``
-        and averaged with one ``mean``.  Values are bit-identical to
-        node-by-node measurement.
+        :func:`~repro.bench.engines.bulk_copy_gbps_many` batch.  Every
+        probe's noise row comes from one
+        :meth:`~repro.rng.RngRegistry.normal_rows` call, exponentiated
+        in place, and each model is averaged with one ``mean``.  Values
+        are bit-identical to node-by-node measurement.  ``targets`` is
+        any iterable of nodes (:func:`sweep_targets`); a repeated one is
+        swept again and keeps one model.
         """
-        machine = self.machine
-        for target_node in targets:
-            if target_node not in machine.node_ids:
-                raise ModelError(f"unknown target node {target_node}")
+        targets = sweep_targets(self.machine, targets, repeats=True)
         if mode not in ("write", "read"):
             raise ModelError(f"mode must be 'write' or 'read', got {mode!r}")
         with _obs.span(
@@ -206,7 +211,7 @@ class IOModelBuilder:
             return self._build_many(targets, mode)
 
     def _build_many(
-        self, targets: "tuple[int, ...] | list[int]", mode: str
+        self, targets: "tuple[int, ...]", mode: str
     ) -> dict[int, IOPerformanceModel]:
         machine = self.machine
         m = self.threads_per_node()
@@ -238,11 +243,21 @@ class IOModelBuilder:
             known.update(zip(missing, bulk_copy_gbps_many(
                 machine, missing, m, session=self.session
             )))
+        # One row per probe, named as measure_pair names its stream; each
+        # row is exp(N(-sigma^2/2, sigma)), NoiseModel.factors' draws.
+        if self.sigma == 0:
+            noise = np.ones((len(copy_pairs), self.runs))
+        else:
+            noise = self.registry.normal_rows(
+                [f"iomodel/{mode}/k{k}-i{i}-m{m}" for k in targets for i in nodes],
+                -0.5 * self.sigma * self.sigma, self.sigma, self.runs,
+            )
+            np.exp(noise, out=noise)
         models: dict[int, IOPerformanceModel] = {}
         for t_idx, target_node in enumerate(targets):
-            probes = copy_pairs[t_idx * n:(t_idx + 1) * n]
-            base_row = np.array([known[pair] for pair in probes])
-            samples = base_row[:, None] * self._noise_matrix(target_node, mode, m)
+            rows = slice(t_idx * n, (t_idx + 1) * n)
+            base_row = np.array([known[pair] for pair in copy_pairs[rows]])
+            samples = base_row[:, None] * noise[rows]
             values = dict(zip(machine.node_ids, samples.mean(axis=1).tolist()))
             classes = classify_nodes(values, machine, target_node, rel_gap=self.rel_gap)
             _obs.count("iomodel.models_built")

@@ -369,8 +369,13 @@ class FabricPool:
         absorbs the merged draw ledger.  With ``journal``, dispatch is
         one target per task (so resume granularity is independent of
         ``jobs``) and completed targets are replayed, not re-run.
+        ``targets`` is checked like the serial call's
+        (:func:`~repro.core.iomodel.sweep_targets`) before any task is
+        dispatched.
         """
-        targets = tuple(targets)
+        from repro.core.iomodel import sweep_targets
+
+        targets = sweep_targets(machine, targets)
         seed = registry.seed if registry is not None else self.seed
         ref = _arena.machine_ref(machine)
         if journal is not None:
@@ -402,9 +407,12 @@ class FabricPool:
         """Sharded :meth:`~repro.core.characterize.HostCharacterizer.characterize_many`.
 
         With ``journal``, one node per task and journal-replay of
-        completed nodes, exactly like :meth:`build_many`.
+        completed nodes, exactly like :meth:`build_many`, and ``nodes``
+        is checked before any dispatch the same way.
         """
-        nodes = tuple(nodes)
+        from repro.core.iomodel import sweep_targets
+
+        nodes = sweep_targets(machine, nodes)
         seed = registry.seed if registry is not None else self.seed
         ref = _arena.machine_ref(machine)
         if journal is not None:

@@ -15,13 +15,15 @@ e.g. ``"bench/stream/cpu7-mem4/run13"``.
 A stream's generator is ``PCG64`` seeded by ``SeedSequence(entropy=seed,
 spawn_key=(crc32(name),))``; the seed must be a non-negative integer.
 :meth:`RngRegistry.stream` derives one stream through numpy.
-:meth:`RngRegistry.streams` derives a batch, bit for bit the same: the
-name is the sequence's last entropy word, so the seed's part of numpy's
-fixed SeedSequence hash runs once per registry, in Python ints, and the
-names' keys are mixed in with a few vectorized uint32 expressions.
-Algorithm 1's sweep derives its per-probe streams (8,192 per 64-node
-host) this way; ``tests/property/test_rng_streams.py`` holds the batch
-path to numpy's own derivation.
+:meth:`RngRegistry.normal_rows` draws one ``normal`` row from each of
+many streams, bit for bit what their :meth:`~RngRegistry.stream`
+generators draw: the name is the sequence's last entropy word, so the
+seed's part of numpy's fixed SeedSequence hash runs once per registry,
+in Python ints, and every name's key is mixed in by one call of a few
+vectorized uint32 expressions.  Algorithm 1's sweep draws its per-probe
+noise (8,192 rows per 64-node host) this way;
+``tests/property/test_rng_streams.py`` holds the derivation to numpy's
+own and the rows to :meth:`~RngRegistry.stream`'s.
 
 Streams are handed out wrapped in a :class:`CountingGenerator`, which
 forwards every draw verbatim (sequences are bit-identical to the bare
@@ -35,6 +37,7 @@ run manifests capture the seed registry state.
 from __future__ import annotations
 
 import functools
+import numbers
 import zlib
 
 import numpy as np
@@ -268,12 +271,11 @@ class RngRegistry:
     """
 
     def __init__(self, seed: int = DEFAULT_SEED) -> None:
-        seed = int(seed)
-        if seed < 0:
-            raise ReproError(f"seed must be a non-negative integer, got {seed}")
-        self._seed = seed
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ReproError(f"seed must be a non-negative integer, got {seed!r}")
+        self._seed = int(seed)
         self._draws: dict[str, int] = {}
-        #: The seed's SeedSequence pool and hash constant, for streams().
+        #: The seed's SeedSequence pool and hash constant, for normal_rows().
         self._pool: "tuple[tuple[int, ...], int] | None" = None
 
     @property
@@ -298,12 +300,17 @@ class RngRegistry:
             np.random.Generator(np.random.PCG64(seq)), name, self._draws
         )
 
-    def streams(self, names) -> list[CountingGenerator]:
-        """``[self.stream(n) for n in names]``, derived in one batch.
+    def normal_rows(self, names, loc: float, scale: float, size: int) -> np.ndarray:
+        """``self.stream(name).normal(loc, scale, size)`` for each name, as rows.
 
-        Same generators (each draws exactly what :meth:`stream`'s would),
-        same names, same shared draw ledger; only the SeedSequence hash
-        runs vectorized over the names instead of once per name.
+        Row ``i`` is bit for bit what ``names[i]``'s own stream draws,
+        and the draw ledger (and, under an installed recorder, the
+        ``rng.draws/<name>`` counters) records ``size`` draws per name
+        in order, a repeated name once per occurrence, exactly as those
+        per-stream calls would.  Every row's ``PCG64`` state comes from
+        one vectorized SeedSequence derivation, and each row is drawn
+        from a bare :class:`numpy.random.Generator`: no
+        :class:`CountingGenerator` is built.
         """
         names = list(names)
         if self._pool is None:
@@ -312,10 +319,14 @@ class RngRegistry:
         states = _pcg64_states(*self._pool, keys)
         derived = _derived_state_type()
         generator, pcg64, draws = np.random.Generator, np.random.PCG64, self._draws
-        return [
-            CountingGenerator(generator(pcg64(derived(state))), name, draws)
-            for name, state in zip(names, states)
-        ]
+        recording = _obs._RECORDER is not None
+        rows = np.empty((len(names), size))
+        for row, name, state in zip(rows, names, states):
+            draws[name] = draws.get(name, 0) + size
+            if recording:
+                _obs.count("rng.draws/" + name, size)
+            row[:] = generator(pcg64(derived(state))).normal(loc, scale, size)
+        return rows
 
     def absorb(self, counts: "dict[str, int]") -> None:
         """Fold another registry's draw ledger into this one's counts.

@@ -49,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import json
 import sys
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -226,6 +227,13 @@ class PlacementService:
         # (t, kind) pairs: the error path is hot under hostile traffic
         # and must not pay a per-line ring insert.
         self._obs_err: list = []
+        # The TCP transport runs handle_line on several threads.  Appends
+        # and a drain's detach of both buffers hold _obs_lock (never
+        # contended on the serial stdio and soak paths); _drain_lock
+        # serializes the folds, so lines appended during one land in the
+        # next drain, and the plane's views take one fold at a time.
+        self._obs_lock = threading.Lock()
+        self._drain_lock = threading.Lock()
         self.draining = False
         self.requests = 0
         self.degraded_served = 0
@@ -249,7 +257,9 @@ class PlacementService:
         self.errors[exc.kind] = self.errors.get(exc.kind, 0) + 1
         _obs.count(f"service.error.{exc.kind}")
         if self._obs_buf is not None:
-            self._obs_err.extend((self.clock(), exc.kind))
+            event = (self.clock(), exc.kind)
+            with self._obs_lock:
+                self._obs_err.extend(event)
         return error_response(req_id, exc)
 
     def _note_tier(self, result: dict) -> None:
@@ -481,12 +491,20 @@ class PlacementService:
         event ring at the next drain rather than mid-request.  Drains
         run when the buffer fills (:data:`_OBS_BATCH`) and before every
         read of the plane (``metrics``, breaker-trip and crash dumps),
-        so no reader ever sees a stale view.
+        so no reader ever sees a stale view.  A drain detaches both
+        buffers under the append lock and folds them under the drain
+        lock: concurrent drains fold each line once, in order.
         """
-        buf = self._obs_buf
-        err = self._obs_err
-        if not buf and not err:
-            return
+        with self._drain_lock:
+            with self._obs_lock:
+                buf, err = self._obs_buf, self._obs_err
+                if not buf and not err:
+                    return
+                self._obs_buf, self._obs_err = [], []
+            self._fold_obs(buf, err)
+
+    def _fold_obs(self, buf: list, err: list) -> None:
+        """Fold one detached pair of buffers (see :meth:`_drain_obs`)."""
         live = self.live
         counters = live.counters
         flight = live.flight
@@ -494,7 +512,6 @@ class PlacementService:
             note = flight.note_event
             for i in range(0, len(err), 2):
                 note(err[i], "error", {"kind": err[i + 1]})
-            err.clear()
         if not buf:
             return
         slow_s = self.slow_request_s
@@ -547,7 +564,6 @@ class PlacementService:
             )
         else:
             flight.note_spans(list(zip(buf[0::4], methods, walls, tiers)))
-        buf.clear()
         drift = self.drift
         if drift is not None:
             drift.fold_if_large()  # its per-answer path skips the cap check
@@ -576,20 +592,23 @@ class PlacementService:
                     ),
                 )
         result = response.get("result")
-        buf = self._obs_buf
-        if buf is not None:
+        if self._obs_buf is not None:
             # The whole per-line live-plane cost: four flat scalars
-            # extended in (t, method, wall_s, tier) — plus one clock
-            # read on real clocks only; histogram/counter folds, tier
-            # counters and slow-event detection all happen batched in
-            # _drain_obs.
+            # extended in (t, method, wall_s, tier) under an uncontended
+            # lock — plus one clock read on real clocks only;
+            # histogram/counter folds, tier counters and slow-event
+            # detection all happen batched in _drain_obs.
             end = self._obs_end
-            buf.extend((
+            line_obs = (
                 started, method,
                 end() - started if end is not None else 0.0,
                 (result or _NO_RESULT).get("tier", "-"),
-            ))
-            if len(buf) >= _OBS_BATCH:
+            )
+            with self._obs_lock:
+                buf = self._obs_buf
+                buf.extend(line_obs)
+                full = len(buf) >= _OBS_BATCH
+            if full:
                 self._drain_obs()
         if type(result) is WireAnswer:
             # Warm tiers carry their pre-encoded wire form: splice the

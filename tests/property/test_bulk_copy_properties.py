@@ -1,23 +1,34 @@
 """Closed-form bulk copies against max-min over their flow lists.
 
-``bulk_copy_gbps_many`` solves each distinct ``(src, dst)`` copy with
-``SolverSession.equal_shares``.  The reference is the allocation
-cache's water-filling over the copy's per-thread flow list
-(``_bulk_copy_flows``), totalled as ``sum(rates.values())``.  Every
-Algorithm 1 model is built from these totals, so they must agree by
-``float.hex``, and bad inputs must raise the same typed errors.
+``bulk_copy_gbps_many`` solves each distinct ``(src, dst)`` copy from
+the least capacity on its route.  Two references hold it: the
+allocation cache's water-filling over the copy's per-thread flow list
+(``_bulk_copy_flows``), totalled as ``sum(rates.values())``, and
+``SolverSession.equal_shares`` over the copy's ``_copy_resources``,
+with the same solve counts, also when the session serves a capacity
+map that differs from the machine's.  Every Algorithm 1 model is built
+from these totals, so they must agree by ``float.hex``, and bad inputs
+must raise the same typed errors.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.engines import _bulk_copy_flows, bulk_copy_gbps, bulk_copy_gbps_many
+from repro.bench.engines import (
+    _bulk_copy_flows,
+    _copy_resources,
+    bulk_copy_gbps,
+    bulk_copy_gbps_many,
+)
 from repro.errors import BenchmarkError, RoutingError, SimulationError
 from repro.faults import FaultedMachine, LinkDegrade, LinkFail
 from repro.interconnect.link import DirectedLink
+from repro.interconnect.planes import PLANE_DMA
 from repro.solver.capacity import build_capacities
 from repro.solver.session import SolverSession
 from repro.topology.machine import Machine, MachineParams
@@ -112,6 +123,51 @@ def test_closed_form_equals_maxmin_bit_for_bit(case):
             for s, d in pairs] == want
 
 
+def _served(machine, capacities):
+    """A session serving ``capacities`` as if built from ``machine``."""
+    session = SolverSession(machine)
+    session._capacities = dict(capacities)
+    return session
+
+
+def _equal_shares_reference(machine, pairs, threads, session):
+    """Totals from ``equal_shares`` over each distinct pair's resources."""
+    distinct = list(dict.fromkeys(pairs))
+    demand = machine.params.dma_per_thread_gbps
+    shares = session.equal_shares([
+        (_copy_resources(machine, src, dst), demand, threads) for src, dst in distinct
+    ])
+    totals = {pair: sum([share] * threads) for pair, share in zip(distinct, shares)}
+    return [totals[pair] for pair in pairs]
+
+
+def _assert_equal_shares_oracle(machine, pairs, threads, capacities):
+    reference, session = _served(machine, capacities), _served(machine, capacities)
+    want = _equal_shares_reference(machine, pairs, threads, reference)
+    got = bulk_copy_gbps_many(machine, pairs, threads, session=session)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert session.stats.solves == reference.stats.solves == len(set(pairs))
+    assert session.stats.capacity_hits == reference.stats.capacity_hits
+
+
+@given(copies())
+@settings(max_examples=80, deadline=None)
+def test_route_bottlenecks_equal_equal_shares(case):
+    machine, pairs, threads = case
+    _assert_equal_shares_oracle(machine, pairs, threads, build_capacities(machine))
+
+
+@given(copies(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_route_bottlenecks_read_the_session_map(case, data):
+    machine, pairs, threads = case
+    scale = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+    capacities = {
+        name: cap * data.draw(scale) for name, cap in build_capacities(machine).items()
+    }
+    _assert_equal_shares_oracle(machine, pairs, threads, capacities)
+
+
 @given(machines(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_partitioned_pair_raises_the_same_routing_error(machine, data):
@@ -148,6 +204,49 @@ def test_zero_capacity_raises_the_same_simulation_error(case, data):
     assert expected[0] is SimulationError
     assert _raised(lambda: bulk_copy_gbps_many(
         machine, pairs, threads, session=session()
+    )) == expected
+
+
+@given(copies(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_odd_capacities_take_the_reference(case, data):
+    machine, pairs, threads = case
+    src, dst = data.draw(st.sampled_from(pairs))
+    resource = data.draw(st.sampled_from(_copy_resources(machine, src, dst)))
+    capacities = build_capacities(machine)
+    odd = data.draw(st.sampled_from([math.inf, math.nan, None]))
+    if odd is None:
+        del capacities[resource]
+    else:
+        capacities[resource] = odd
+
+    def run(fn):
+        session = _served(machine, capacities)
+        try:
+            return [v.hex() for v in fn(session)], session.stats.solves
+        except SimulationError as exc:
+            return type(exc), str(exc), session.stats.solves
+
+    assert run(
+        lambda session: bulk_copy_gbps_many(machine, pairs, threads, session=session)
+    ) == run(
+        lambda session: _equal_shares_reference(machine, pairs, threads, session)
+    )
+
+
+@given(machines(), st.data())
+@settings(max_examples=20, deadline=None)
+def test_route_crossing_a_link_twice_raises_the_same_error(machine, data):
+    a, b = data.draw(st.sampled_from(sorted(machine.links)))
+    machine.routing.set_route(PLANE_DMA, (a, b, a, b))
+    pairs = [(a, a), (a, b), (b, a)]
+    threads = data.draw(st.integers(min_value=1, max_value=16))
+    expected = _raised(lambda: _equal_shares_reference(
+        machine, pairs, threads, SolverSession(machine)
+    ))
+    assert expected[0] is SimulationError and "twice" in expected[1]
+    assert _raised(lambda: bulk_copy_gbps_many(
+        machine, pairs, threads, session=SolverSession(machine)
     )) == expected
 
 

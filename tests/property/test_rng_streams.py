@@ -1,10 +1,12 @@
-"""Batch stream derivation equals numpy's SeedSequence, state for state.
+"""Batch noise rows equal numpy's SeedSequence streams, draw for draw.
 
-:meth:`RngRegistry.streams` re-implements ``SeedSequence(entropy=seed,
-spawn_key=(key,)).generate_state(4, uint64)`` vectorized over keys.
-These properties pin it to numpy itself — so they are also the alarm
-if a numpy release ever changes the SeedSequence hash — and pin its
-generators and draw ledger to :meth:`RngRegistry.stream`'s.
+:meth:`RngRegistry.normal_rows` re-implements ``SeedSequence(entropy=seed,
+spawn_key=(key,)).generate_state(4, uint64)`` vectorized over keys and
+draws each row from a bare generator on that state.  These properties
+pin the derivation to numpy itself — so they are also the alarm if a
+numpy release ever changes the SeedSequence hash — and pin the rows,
+the draw ledger and the ``rng.draws/*`` counters to
+:meth:`RngRegistry.stream`'s.
 """
 
 from __future__ import annotations
@@ -14,7 +16,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.rng import DEFAULT_SEED, RngRegistry, _pcg64_states, _seed_pool
+from repro.obs import recorder as _obs
+from repro.obs.metrics import MetricsRegistry
+from repro.rng import (
+    DEFAULT_SEED,
+    RngRegistry,
+    _derived_state_type,
+    _name_key,
+    _pcg64_states,
+    _seed_pool,
+)
 
 FIXED_SEEDS = [0, 2**32 - 1, 2**32, 2**64, DEFAULT_SEED]
 EDGE_KEYS = [0, 2**32 - 1]
@@ -50,17 +61,31 @@ def test_rows_match_seed_sequence(seed, extra):
     assert (rows == _reference_rows(seed, key_list)).all()
 
 
-def _assert_same_streams(seed: int, name_list) -> None:
+def _recorded(draw):
+    """``draw()``'s result and the ``rng.draws/*`` counters it recorded."""
+    registry = MetricsRegistry()
+    _obs.install(_obs.TraceRecorder(registry))
+    try:
+        out = draw()
+    finally:
+        _obs.uninstall()
+    return out, registry.counters("rng.draws/")
+
+
+def _assert_same_streams(seed: int, name_list, loc=0.5, scale=2.0, size=7) -> None:
     batch_registry, single_registry = RngRegistry(seed), RngRegistry(seed)
-    batch = batch_registry.streams(iter(name_list))
-    single = [single_registry.stream(name) for name in name_list]
-    assert [g.stream_name for g in batch] == list(name_list)
-    for derived, reference in zip(batch, single):
-        assert derived.bit_generator.state == reference.bit_generator.state
-        assert (derived.normal(0.5, 2.0, size=7) == reference.normal(0.5, 2.0, size=7)).all()
-        assert derived.integers(0, 2**62) == reference.integers(0, 2**62)
-        assert derived.random() == reference.random()
+    rows, batch_counts = _recorded(
+        lambda: batch_registry.normal_rows(iter(name_list), loc, scale, size)
+    )
+    single, single_counts = _recorded(lambda: [
+        single_registry.stream(name).normal(loc, scale, size) for name in name_list
+    ])
+    assert rows.shape == (len(name_list), size)
+    assert [[v.hex() for v in row.tolist()] for row in rows] == [
+        [v.hex() for v in row.tolist()] for row in single
+    ]
     assert batch_registry.draw_counts == single_registry.draw_counts
+    assert batch_counts == single_counts
 
 
 @pytest.mark.parametrize("seed", FIXED_SEEDS)
@@ -70,21 +95,30 @@ def test_fixed_seed_streams_draw_like_stream(seed):
     )
 
 
-@given(seed=seeds, name_list=names)
-@example(seed=0, name_list=["", "é"])
+@given(
+    seed=seeds,
+    name_list=names,
+    loc=st.floats(min_value=-1e3, max_value=1e3),
+    scale=st.floats(min_value=0.0, max_value=1e3),
+    size=st.integers(min_value=0, max_value=12),
+)
+@example(seed=0, name_list=["", "é", ""], loc=-7.2e-05, scale=0.012, size=100)
 @settings(max_examples=40, deadline=None)
-def test_streams_draw_like_stream(seed, name_list):
-    _assert_same_streams(seed, name_list)
+def test_streams_draw_like_stream(seed, name_list, loc, scale, size):
+    _assert_same_streams(seed, name_list, loc, scale, size)
 
 
 def test_no_names_no_streams():
     registry = RngRegistry(5)
-    assert registry.streams([]) == []
-    assert registry.draw_counts == {}
+    rows, counts = _recorded(lambda: registry.normal_rows([], 0.0, 1.0, 3))
+    assert rows.shape == (0, 3)
+    assert registry.draw_counts == {} and counts == {}
 
 
 def test_derived_state_serves_pcg64_only():
-    seed_seq = RngRegistry(5).streams(["x"])[0].bit_generator.seed_seq
+    seed_seq = _derived_state_type()(_rows(5, [_name_key("x")])[0])
     assert seed_seq.generate_state(4, np.uint64).shape == (4,)
+    generator = np.random.Generator(np.random.PCG64(seed_seq))
+    assert generator.random() == RngRegistry(5).stream("x").random()
     with pytest.raises(ValueError):
         seed_seq.generate_state(8)

@@ -4,8 +4,12 @@ import math
 
 import pytest
 
+from repro.core.characterize import HostCharacterizer
 from repro.core.iomodel import IOModelBuilder
 from repro.errors import AllocationError, ModelError
+from repro.fabric import FabricPool
+from repro.rng import RngRegistry
+from repro.topology.builders import reference_host, scaled_host
 from repro.osmodel import libnuma
 from repro.topology.serialize import machine_from_dict, machine_to_dict
 
@@ -94,6 +98,104 @@ class TestBuilder:
         for mode in ("write", "read"):
             assert len(builder.build_many(host.node_ids, mode)) == host.n_nodes
         assert calls == []
+
+
+class TestSweepTargets:
+    """Every sweep entry point checks its target list the same way."""
+
+    def test_builder_takes_any_iterable(self, host):
+        builder = IOModelBuilder(host, runs=3)
+        swept = builder.build_many(iter((3, 5)), "write")
+        assert list(swept) == [3, 5]
+        assert {k: m.values for k, m in swept.items()} == {
+            k: m.values for k, m in builder.build_many((3, 5), "write").items()
+        }
+        with pytest.raises(ModelError, match="unknown target node 42"):
+            builder.build_many(iter((3, 42)), "write")
+
+    def test_characterizer_rejects_a_repeat_before_probing(self, host):
+        registry = RngRegistry(5)
+        characterizer = HostCharacterizer(host, registry=registry, runs=3)
+        solves = characterizer.builder.session.stats.solves
+        with pytest.raises(ModelError, match="target node 3 is listed twice"):
+            characterizer.characterize_many(iter((3, 5, 3)))
+        assert registry.draw_counts == {}
+        assert characterizer.builder.session.stats.solves == solves
+        assert list(characterizer.characterize_many(iter((5, 3)))) == [5, 3]
+
+    @pytest.mark.parametrize("targets, message", [
+        ((3, 5, 3), "target node 3 is listed twice"),
+        ((3, 42), "unknown target node 42"),
+    ])
+    def test_pool_build_many_checks_before_dispatch(self, host, targets, message):
+        with FabricPool(jobs=2) as pool:
+            with pytest.raises(ModelError, match=message):
+                pool.build_many(host, iter(targets), "write", runs=3)
+            assert pool.dispatched == 0 and pool._executor is None
+
+    @pytest.mark.parametrize("targets, message", [
+        ((3, 5, 3), "target node 3 is listed twice"),
+        ((3, 42), "unknown target node 42"),
+    ])
+    def test_pool_characterize_many_checks_before_dispatch(
+        self, host, targets, message
+    ):
+        with FabricPool(jobs=2) as pool:
+            with pytest.raises(ModelError, match=message):
+                pool.characterize_many(host, iter(targets), runs=3)
+            assert pool.dispatched == 0 and pool._executor is None
+
+
+class TestSweepFastPaths:
+    """A sweep reads copy shares off route bottlenecks and draws every
+    probe's noise from one state derivation per ``build_many`` call."""
+
+    @pytest.mark.parametrize("machine", [
+        reference_host(), scaled_host(32, seed=3),
+    ], ids=["reference", "scaled32"])
+    def test_sweep_skips_the_references(self, machine, monkeypatch):
+        from repro import rng
+        from repro.bench import engines
+        from repro.solver.session import SolverSession
+
+        calls = {"resources": 0, "equal_shares": 0, "derivations": 0, "streams": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(engines, "_copy_resources",
+                            counted("resources", engines._copy_resources))
+        monkeypatch.setattr(SolverSession, "equal_shares",
+                            counted("equal_shares", SolverSession.equal_shares))
+        monkeypatch.setattr(rng, "_pcg64_states",
+                            counted("derivations", rng._pcg64_states))
+
+        class Spied(rng.CountingGenerator):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                calls["streams"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(rng, "CountingGenerator", Spied)
+        registry = RngRegistry(5)
+        builder = IOModelBuilder(machine, registry=registry, runs=4)
+        for n_calls, mode in enumerate(("write", "read"), start=1):
+            models = builder.build_many(machine.node_ids, mode)
+            assert len(models) == machine.n_nodes
+            assert calls["derivations"] == n_calls
+        assert calls == {"resources": 0, "equal_shares": 0, "derivations": 2,
+                         "streams": 0}
+        assert len(registry.draw_counts) == 2 * machine.n_nodes ** 2
+        # The spies are live: the per-probe and flow-list references hit them.
+        builder.measure_pair(0, 1, "write")
+        engines._bulk_copy_flows(machine, 0, 1, 2)
+        builder.session.equal_shares([])
+        assert calls == {"resources": 1, "equal_shares": 1, "derivations": 2,
+                         "streams": 1}
 
 
 class TestAllocationFailure:

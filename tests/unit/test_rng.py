@@ -58,6 +58,17 @@ class TestChildren:
         with pytest.raises(ReproError, match="non-negative"):
             RngRegistry(seed)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, float("nan"), float("inf"), "7", None])
+    def test_non_integer_seed_is_a_typed_error(self, seed):
+        with pytest.raises(ReproError, match="non-negative integer, got " + repr(seed)):
+            RngRegistry(seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int8(7)])
+    def test_numpy_integer_seeds_act_as_ints(self, seed):
+        registry = RngRegistry(seed)
+        assert registry.seed == 7 and type(registry.seed) is int
+        assert registry.stream("x").random() == RngRegistry(7).stream("x").random()
+
     def test_default_seed_is_stable(self):
         # Recorded in EXPERIMENTS.md; a change invalidates recorded numbers.
         assert DEFAULT_SEED == 20130701

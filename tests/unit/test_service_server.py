@@ -398,3 +398,69 @@ class TestLiveMetrics:
         assert service.live.hists == {}
         assert service.live.counters == {}
         assert service.live.flight.span_total == 0
+
+
+class TestConcurrentDrain:
+    """The TCP transport runs ``handle_line`` on several threads at once."""
+
+    #: (method, params) per line kind; ``metrics`` drains mid-stream.
+    MIX = (
+        ("predict_eq1", {"target": 7, "streams": [2, 2, 0]}),
+        ("classify", {"target": 7}),
+        ("health", None),
+        ("metrics", None),
+        ("bogus", None),
+    )
+
+    def test_every_line_folds_once(self, service, monkeypatch):
+        import sys
+        from collections import Counter
+
+        from repro.service import server
+
+        # Small batches make full-buffer drains race the appends and the
+        # metrics drains of other threads.
+        monkeypatch.setattr(server, "_OBS_BATCH", 4 * 64)
+        service.backend.warm((7,))
+        threads, per_thread = 4, 300
+        plan = [self.MIX[i % len(self.MIX)] for i in range(per_thread)]
+        replies: list[list[str]] = [[] for _ in range(threads)]
+        start = threading.Barrier(threads)
+
+        def client(out):
+            start.wait(timeout=60)
+            for i, (method, params) in enumerate(plan):
+                out.append(service.handle_line(line(method, params, req_id=i)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=client, args=(out,))
+                       for out in replies]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [len(out) for out in replies] == [per_thread] * threads
+        service._drain_obs()
+
+        sent = Counter(method for method, _params in plan)
+        tiers = Counter(
+            json.loads(reply).get("result", {}).get("tier", "-")
+            for out in replies for reply in out
+        )
+        live = service.live
+        for method, n in sent.items():
+            view = method if method != "bogus" else "?"
+            assert live.hists[f"service.latency.method.{view}"].count == n * threads
+        for tier in (1, 2, 3):
+            assert live.counters.get(f"service.tier.{tier}.answers", 0) == tiers[tier]
+            view = live.hists.get(f"service.latency.tier.{tier}")
+            assert (view.count if view is not None else 0) == tiers[tier]
+        assert tiers[1] and tiers[2]
+        occupancy = live.flight.occupancy()
+        assert occupancy["span_total"] == threads * per_thread
+        assert occupancy["event_total"] == sent["bogus"] * threads

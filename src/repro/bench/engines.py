@@ -201,13 +201,14 @@ def bulk_copy_gbps_many(
     That is the float :meth:`~repro.solver.session.SolverSession.equal_shares`
     returns over :func:`_copy_resources`, the reference the whole call
     goes through instead when a capacity is not positive and finite, a
-    resource is missing or the demand is not positive, so those raise
-    the reference's errors.  Either way the batch is one stats phase
-    with one solve per distinct pair; repeated pairs reuse that total.
-    A total adds the per-thread share ``threads`` times, as
-    ``sum(rates.values())`` does over the copy's flow list, so values
-    equal max-min over that list.  Every pair is routed before any is
-    solved, as building all the flow lists first would.
+    resource is missing, a route revisits a node or the demand is not
+    positive, so those raise the reference's errors.  Either way the
+    batch is one stats phase with one solve per distinct pair; repeated
+    pairs reuse that total.  A total adds the per-thread share
+    ``threads`` times, as ``sum(rates.values())`` does over the copy's
+    flow list, so values equal max-min over that list.  Every pair is
+    routed before any is solved, as building all the flow lists first
+    would.
     """
     if threads < 1:
         raise BenchmarkError(f"need >= 1 copy thread, got {threads}")

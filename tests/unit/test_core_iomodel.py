@@ -8,9 +8,9 @@ from repro.core.characterize import HostCharacterizer
 from repro.core.iomodel import IOModelBuilder
 from repro.errors import AllocationError, ModelError
 from repro.fabric import FabricPool
+from repro.osmodel import libnuma
 from repro.rng import RngRegistry
 from repro.topology.builders import reference_host, scaled_host
-from repro.osmodel import libnuma
 from repro.topology.serialize import machine_from_dict, machine_to_dict
 
 
@@ -150,10 +150,10 @@ class TestSweepFastPaths:
     """A sweep reads copy shares off route bottlenecks and draws every
     probe's noise from one state derivation per ``build_many`` call."""
 
-    @pytest.mark.parametrize("machine", [
-        reference_host(), scaled_host(32, seed=3),
+    @pytest.mark.parametrize("build", [
+        reference_host, lambda: scaled_host(32, seed=3),
     ], ids=["reference", "scaled32"])
-    def test_sweep_skips_the_references(self, machine, monkeypatch):
+    def test_sweep_skips_the_references(self, build, monkeypatch):
         from repro import rng
         from repro.bench import engines
         from repro.solver.session import SolverSession
@@ -181,6 +181,7 @@ class TestSweepFastPaths:
                 super().__init__(*args)
 
         monkeypatch.setattr(rng, "CountingGenerator", Spied)
+        machine = build()
         registry = RngRegistry(5)
         builder = IOModelBuilder(machine, registry=registry, runs=4)
         for n_calls, mode in enumerate(("write", "read"), start=1):

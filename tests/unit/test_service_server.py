@@ -2,13 +2,16 @@
 
 import asyncio
 import json
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
 from repro.retrying import RetryPolicy
 from repro.rng import RngRegistry
 from repro.service.backend import AdvisoryBackend
+from repro.service import server
 from repro.service.breaker import CircuitBreaker
 from repro.service.server import (
     AsyncPlacementServer,
@@ -413,11 +416,6 @@ class TestConcurrentDrain:
     )
 
     def test_every_line_folds_once(self, service, monkeypatch):
-        import sys
-        from collections import Counter
-
-        from repro.service import server
-
         # Small batches make full-buffer drains race the appends and the
         # metrics drains of other threads.
         monkeypatch.setattr(server, "_OBS_BATCH", 4 * 64)

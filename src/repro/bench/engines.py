@@ -25,6 +25,7 @@ from repro.bench.jobfile import FioJob
 from repro.bench.results import JobResult
 from repro.errors import BenchmarkError
 from repro.flows.flow import Flow
+from repro.flows.network import shared_finish
 from repro.interconnect.planes import PLANE_DMA
 from repro.memory.allocator import PageAllocator
 from repro.memory.controller import dma_resource
@@ -457,14 +458,9 @@ class DeviceIOEngine:
         resource = f"dev:{device.name}:{job.direction}"
         per_cap = [s if profile.per_stream_cap_gbps is None
                    else min(s, profile.per_stream_cap_gbps) for s in service]
-        time_based = job.runtime_s is not None
-        flows = [
-            Flow(
-                name=f"{job.name}/{i}",
-                resources=(resource,),
-                demand_gbps=min(per_cap[i], cpu_caps[i]) * mix * float(stream_noise[i]),
-                size_bytes=None if time_based else float(job.size_bytes),
-            )
+        names = [f"{job.name}/{i}" for i in range(n)]
+        demands = [
+            float(min(per_cap[i], cpu_caps[i]) * mix * float(stream_noise[i]))
             for i in range(n)
         ]
         # The DMA engine time-slices across streams and each slice runs
@@ -472,18 +468,37 @@ class DeviceIOEngine:
         # ceiling is the stream-weighted MEAN of the service levels —
         # the physical basis of the paper's Eq. 1.
         agg_cap = sum(base) / len(base)
-        network = self.session.network({resource: agg_cap * mix * agg_noise})
-        if time_based:
-            # fio time_based: constant rates for runtime seconds.
-            rates = network.rates(flows)
-            per_stream = dict(rates)
-            duration = float(job.runtime_s)
+        capacity = float(agg_cap * mix * agg_noise)
+        time_based = job.runtime_s is not None
+        # fio reports the sum of per-job bandwidths (each job: size/time),
+        # not total bytes over the busy interval.  Equal sizes from a
+        # common start on one resource run in shared_finish's list loop;
+        # odd capacities or demands keep the flow network, its reference.
+        if (not time_based and 0 < capacity < math.inf
+                and all(0 < d < math.inf for d in demands)):
+            per_stream, duration = shared_finish(
+                names, demands, float(job.size_bytes), resource, capacity,
+                self.session.stats,
+            )
         else:
-            outcomes = network.simulate(flows)
-            # fio reports the sum of per-job bandwidths (each job:
-            # size/time), not total bytes over the busy interval.
-            per_stream = {name: o.avg_gbps for name, o in outcomes.items()}
-            duration = max(o.finish_s for o in outcomes.values())
+            flows = [
+                Flow(
+                    name=name,
+                    resources=(resource,),
+                    demand_gbps=demand,
+                    size_bytes=None if time_based else float(job.size_bytes),
+                )
+                for name, demand in zip(names, demands)
+            ]
+            network = self.session.network({resource: capacity})
+            if time_based:
+                # fio time_based: constant rates for runtime seconds.
+                per_stream = dict(network.rates(flows))
+                duration = float(job.runtime_s)
+            else:
+                outcomes = network.simulate(flows)
+                per_stream = {name: o.avg_gbps for name, o in outcomes.items()}
+                duration = max(o.finish_s for o in outcomes.values())
         return JobResult(
             job_name=job.name,
             engine=f"{job.engine}:{job.rw}",

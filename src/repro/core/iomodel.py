@@ -41,27 +41,25 @@ from repro.units import MiB
 __all__ = ["IOModelBuilder", "sweep_targets"]
 
 
-def sweep_targets(machine: Machine, targets, repeats: bool = False) -> tuple[int, ...]:
+def sweep_targets(machine: Machine, targets) -> tuple[int, ...]:
     """An Algorithm 1 sweep's target list, checked, as a tuple.
 
     ``targets`` may be any iterable, and each must be a node of
     ``machine``.  A sweep's models are keyed by target, so a target
     listed twice cannot be merged: it raises
     :class:`~repro.errors.ModelError` naming the node.
+    :meth:`IOModelBuilder.build_many`,
     :meth:`HostCharacterizer.characterize_many
     <repro.core.characterize.HostCharacterizer.characterize_many>` and
     both :class:`~repro.fabric.FabricPool` sweeps check here, before
-    any probe runs or any task is dispatched.  With ``repeats``, a
-    repeated target passes: :meth:`IOModelBuilder.build_many` sweeps it
-    again, as a :meth:`~IOModelBuilder.measure_pair` loop over the list
-    would, and returns its one model.
+    any probe runs, any stream is drawn or any task is dispatched.
     """
     targets = tuple(targets)
     seen: set[int] = set()
     for target_node in targets:
         if target_node not in machine.node_ids:
             raise ModelError(f"unknown target node {target_node}")
-        if target_node in seen and not repeats:
+        if target_node in seen:
             raise ModelError(f"target node {target_node} is listed twice")
         seen.add(target_node)
     return targets
@@ -199,10 +197,9 @@ class IOModelBuilder:
         :meth:`~repro.rng.RngRegistry.normal_rows` call, exponentiated
         in place, and each model is averaged with one ``mean``.  Values
         are bit-identical to node-by-node measurement.  ``targets`` is
-        any iterable of nodes (:func:`sweep_targets`); a repeated one is
-        swept again and keeps one model.
+        any iterable of distinct nodes (:func:`sweep_targets`).
         """
-        targets = sweep_targets(self.machine, targets, repeats=True)
+        targets = sweep_targets(self.machine, targets)
         if mode not in ("write", "read"):
             raise ModelError(f"mode must be 'write' or 'read', got {mode!r}")
         with _obs.span(

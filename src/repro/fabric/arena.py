@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.errors import FabricError
-from repro.solver.capacity import machine_fingerprint
+from repro.solver.capacity import machine_fingerprint, stamp_fingerprint
 from repro.topology.machine import Machine
 from repro.topology.serialize import machine_from_dict, machine_to_dict
 
@@ -64,7 +64,7 @@ def resolve_machine(ref: dict) -> Machine:
         _WORKER_MACHINES.move_to_end(fingerprint)
         return machine
     machine = machine_from_dict(ref["machine"])
-    machine._solver_fingerprint = fingerprint
+    stamp_fingerprint(machine, fingerprint)
     _WORKER_MACHINES[fingerprint] = machine
     while len(_WORKER_MACHINES) > _WORKER_MACHINE_LIMIT:
         _WORKER_MACHINES.popitem(last=False)

@@ -24,6 +24,11 @@ active demands.  Any other problem allocates through an
 :class:`~repro.solver.incremental.AllocationCache`, so the loop only
 solves cold when the active-flow *multiset* is one it has not seen.
 Both give the same floats.
+
+:func:`shared_finish` is the first of those cases for flows that also
+start together with one size, the fio engine's size-based job: the
+same loop arithmetic over plain lists, with no flow, outcome or loop
+object.  ``FlowNetwork.simulate`` stays its reference.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from repro.flows.flow import Flow
 from repro.solver.incremental import AllocationCache, water_fill
 from repro.units import gbps, gbps_to_bytes_per_s
 
-__all__ = ["FlowOutcome", "FlowLoop", "FlowNetwork"]
+__all__ = ["FlowOutcome", "FlowLoop", "FlowNetwork", "shared_finish"]
 
 _TIME_EPS = 1e-15
 
@@ -235,6 +240,90 @@ class FlowLoop:
         return FlowOutcome(
             name, moved, flow.start_s, self.now, status, reason, retries, reroutes
         )
+
+
+def shared_finish(
+    names: list[str],
+    demands: list[float],
+    size_bytes: float,
+    resource: str,
+    capacity: float,
+    stats=None,
+) -> tuple[dict[str, float], float]:
+    """Equal-size flows that start together on one resource, run to the end.
+
+    Flow ``names[i]`` wants at most ``demands[i]`` Gbps; each moves
+    ``size_bytes`` from time 0 through ``resource`` alone, at weight 1.
+    Returns each flow's average Gbps in finish order and the last finish
+    time: for those flows' :class:`FlowOutcome`\\ s from
+    :meth:`FlowNetwork.simulate`, ``{name: avg_gbps}`` and the latest
+    ``finish_s``, float for float.  ``stats`` gets the same ``events``
+    and ``solves``, and bad sizes, duplicate names, a starved flow or a
+    step without a horizon raise the same
+    :class:`~repro.errors.SimulationError`.
+
+    It is :class:`FlowLoop`'s arithmetic over lists, with no flow,
+    outcome or loop object: admission in name order; per step one
+    :func:`~repro.solver.incremental.water_fill` over the active demands
+    in active order, the horizon ``min(remaining / rate)`` in bytes/s,
+    ``remaining -= rate * horizon``; a flow retires once at most
+    ``max(1.0, 1e-9 * size)`` bytes remain.  The caller passes a
+    positive, finite ``capacity`` and positive, finite demands (the
+    inputs :meth:`FlowNetwork.simulate` would send to the same
+    ``water_fill``); any other problem goes to that reference.
+    """
+    if size_bytes <= 0:
+        raise SimulationError(f"flow {names[0]!r}: size must be positive")
+    if len(set(names)) != len(names):
+        raise SimulationError(
+            "duplicate flow names in simulation: "
+            f"{sorted({n for n in names if names.count(n) > 1})}"
+        )
+    order = sorted(range(len(names)), key=names.__getitem__)
+    active = [names[i] for i in order]
+    wants = [demands[i] for i in order]
+    remaining = [size_bytes] * len(active)
+    done = max(1.0, 1e-9 * size_bytes)
+    finished: dict[str, float] = {}
+    now = 0.0
+    steps = 0
+    while active:
+        steps += 1
+        if steps > 1_000_000:  # pragma: no cover - safety valve
+            raise SimulationError("flow simulation failed to converge")
+        if stats is not None:
+            stats.events += 1
+            stats.solves += 1
+        # Bytes/s as gbps_to_bytes_per_s computes them, inlined.
+        speeds = [rate * 1e9 / 8 for rate in water_fill(wants, capacity)]
+        horizon = math.inf
+        for name, left, speed in zip(active, remaining, speeds):
+            if speed <= 0:
+                raise SimulationError(
+                    f"flow {name!r} starved (rate 0); resource set "
+                    f"{(resource,)} cannot progress"
+                )
+            left /= speed
+            if left < horizon:
+                horizon = left
+        if horizon == math.inf or horizon < 0:
+            raise SimulationError("no progress horizon in flow simulation")
+        remaining = [
+            left - speed * horizon for left, speed in zip(remaining, speeds)
+        ]
+        now = now + horizon
+        avg = gbps(size_bytes, now) if now > 0 else 0.0
+        kept = []
+        for i, left in enumerate(remaining):
+            if left <= done:
+                finished[active[i]] = avg
+            else:
+                kept.append(i)
+        if len(kept) < len(active):
+            active = [active[i] for i in kept]
+            wants = [wants[i] for i in kept]
+            remaining = [remaining[i] for i in kept]
+    return finished, now
 
 
 class FlowNetwork:

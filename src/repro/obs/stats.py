@@ -59,8 +59,9 @@ class SolverStats:
         Steps of the piecewise-constant event loop
         (:class:`repro.flows.network.FlowLoop`), idle jumps included,
         in runs that count into these stats: one per step of
-        :meth:`~repro.flows.network.FlowNetwork.simulate` and of the
-        fault runner.  The online simulator counts none.
+        :meth:`~repro.flows.network.FlowNetwork.simulate`, of its list
+        form for fio jobs (:func:`~repro.flows.network.shared_finish`)
+        and of the fault runner.  The online simulator counts none.
     capacity_builds / capacity_hits:
         Machine capacity-map constructions vs cached reuses.
     path_hits / path_misses:

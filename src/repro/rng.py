@@ -3,8 +3,8 @@
 The simulator is stochastic (run-to-run measurement jitter, OS noise,
 multi-stream contention variability) but every experiment must be exactly
 reproducible.  :class:`RngRegistry` derives one independent
-:class:`numpy.random.Generator` per *named* purpose from a single root seed
-using ``numpy``'s :class:`~numpy.random.SeedSequence` spawning, so
+:class:`numpy.random.Generator` per *named* purpose from a single root seed,
+as ``numpy``'s :class:`~numpy.random.SeedSequence` spawning would, so
 
 * adding a new consumer never perturbs existing streams, and
 * the same (seed, name) pair always yields the same sequence.
@@ -14,16 +14,18 @@ e.g. ``"bench/stream/cpu7-mem4/run13"``.
 
 A stream's generator is ``PCG64`` seeded by ``SeedSequence(entropy=seed,
 spawn_key=(crc32(name),))``; the seed must be a non-negative integer.
-:meth:`RngRegistry.stream` derives one stream through numpy.
-:meth:`RngRegistry.normal_rows` draws one ``normal`` row from each of
-many streams, bit for bit what their :meth:`~RngRegistry.stream`
-generators draw: the name is the sequence's last entropy word, so the
-seed's part of numpy's fixed SeedSequence hash runs once per registry,
-in Python ints, and every name's key is mixed in by one call of a few
-vectorized uint32 expressions.  Algorithm 1's sweep draws its per-probe
-noise (8,192 rows per 64-node host) this way;
-``tests/property/test_rng_streams.py`` holds the derivation to numpy's
-own and the rows to :meth:`~RngRegistry.stream`'s.
+No ``SeedSequence`` is built: the name is the sequence's last entropy
+word, so the seed's part of numpy's fixed hash runs once per seed, in
+Python ints (:func:`_seed_pool`, cached), and one hash body
+(:func:`_state_words`) mixes the name's key in and hashes out the
+``PCG64`` state.  :meth:`RngRegistry.stream` runs it on one key in
+Python ints; :meth:`RngRegistry.normal_rows` runs it once over a uint32
+array of keys and draws one ``normal`` row from each of many streams,
+bit for bit what their :meth:`~RngRegistry.stream` generators draw.
+Algorithm 1's sweep draws its per-probe noise (8,192 rows per 64-node
+host) this way; ``tests/property/test_rng_streams.py`` holds both
+derivations to numpy's ``SeedSequence`` and the rows to
+:meth:`~RngRegistry.stream`'s.
 
 Streams are handed out wrapped in a :class:`CountingGenerator`, which
 forwards every draw verbatim (sequences are bit-identical to the bare
@@ -83,12 +85,15 @@ def _mix(x: int, y: int) -> int:
     return r ^ (r >> 16)
 
 
+@functools.lru_cache(maxsize=64)
 def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """The pool and hash constant of ``SeedSequence(seed, spawn_key=(k,))``
     after every entropy word but the key ``k``.
 
     The entropy is the seed's little-endian uint32 words, zero-padded to
-    the pool size because a spawn key is present, then the key.
+    the pool size because a spawn key is present, then the key.  Cached
+    per seed: every :meth:`RngRegistry.child` registry of an experiment
+    has a seed of its own, and its streams all share this prefix.
     """
     words = []
     while True:
@@ -114,31 +119,63 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     return tuple(pool), h
 
 
-def _pcg64_states(pool: tuple[int, ...], h: int, keys: np.ndarray) -> np.ndarray:
-    """``SeedSequence(...).generate_state(4, uint64)`` for every key: (N, 4).
+def _hash_steps(h: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
+    """``count`` successive hash steps from constant ``h``: (xor, multiplier) each."""
+    steps = []
+    for _ in range(count):
+        nxt = (h * mult) & _MASK32
+        steps.append((h, nxt))
+        h = nxt
+    return tuple(steps)
 
-    Mixes each uint32 key, the last entropy word, into every word of the
-    seed's ``pool`` (hash constant ``h``), then hashes the pool out to 8
-    words, paired (low, high) into uint64s.
+
+#: The hash steps of ``generate_state``'s output words, fixed by numpy.
+_OUT_STEPS = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _state_words(pool: tuple[int, ...], h: int, keys) -> list:
+    """The eight uint32 words ``generate_state`` hashes out after ``keys``.
+
+    Mixes each key, the last entropy word, into every word of the seed's
+    ``pool`` (hash constant ``h``), then hashes the pool out to 8 words.
+    ``keys`` is one Python int or a uint32 array of them: every product
+    is taken mod 2**32 by the mask (a uint32 array wraps by itself), and
+    every Python-int operand is below 2**32, so both give the same words.
     """
     mixed = []
     for word in pool:
-        hashed = keys ^ np.uint32(h)
-        h = (h * _MULT_A) & _MASK32
-        hashed *= np.uint32(h)
+        nxt = (h * _MULT_A) & _MASK32
+        hashed = ((keys ^ h) * nxt) & _MASK32
         hashed ^= hashed >> 16
-        out = np.uint32((_MIX_MULT_L * word) & _MASK32) - np.uint32(_MIX_MULT_R) * hashed
-        out ^= out >> 16
-        mixed.append(out)
+        out = (((_MIX_MULT_L * word) & _MASK32) - _MIX_MULT_R * hashed) & _MASK32
+        mixed.append(out ^ (out >> 16))
+        h = nxt
+    words = []
+    for word, (xor, mult) in zip(mixed + mixed, _OUT_STEPS):
+        word = ((word ^ xor) * mult) & _MASK32
+        words.append(word ^ (word >> 16))
+    return words
+
+
+def _pcg64_states(pool: tuple[int, ...], h: int, keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(...).generate_state(4, uint64)`` for every key: (N, 4).
+
+    :func:`_state_words` over the uint32 ``keys``, paired (low, high)
+    into uint64s.
+    """
     state = np.empty((len(keys), 2 * _POOL_SIZE), dtype=np.uint32)
-    g = _INIT_B
-    for i in range(2 * _POOL_SIZE):
-        word = mixed[i % _POOL_SIZE] ^ np.uint32(g)
-        g = (g * _MULT_B) & _MASK32
-        word *= np.uint32(g)
-        word ^= word >> 16
+    for i, word in enumerate(_state_words(pool, h, keys)):
         state[:, i] = word
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _pcg64_state(pool: tuple[int, ...], h: int, key: int) -> np.ndarray:
+    """One key's :func:`_pcg64_states` row, hashed in Python ints."""
+    w = _state_words(pool, h, key)
+    return np.array(
+        [w[0] | w[1] << 32, w[2] | w[3] << 32, w[4] | w[5] << 32, w[6] | w[7] << 32],
+        dtype=np.uint64,
+    )
 
 
 @functools.cache
@@ -275,8 +312,6 @@ class RngRegistry:
             raise ReproError(f"seed must be a non-negative integer, got {seed!r}")
         self._seed = int(seed)
         self._draws: dict[str, int] = {}
-        #: The seed's SeedSequence pool and hash constant, for normal_rows().
-        self._pool: "tuple[tuple[int, ...], int] | None" = None
 
     @property
     def seed(self) -> int:
@@ -293,11 +328,16 @@ class RngRegistry:
 
         Each call returns a *new* generator positioned at the start of the
         same underlying sequence, so callers that need to continue a
-        sequence must hold on to the generator they were given.
+        sequence must hold on to the generator they were given.  Its
+        ``PCG64`` state is :func:`_pcg64_state` of the name's key, the
+        words numpy's ``SeedSequence`` would hash out, without building
+        one.
         """
-        seq = np.random.SeedSequence(entropy=self._seed, spawn_key=(_name_key(name),))
+        state = _pcg64_state(*_seed_pool(self._seed), _name_key(name))
         return CountingGenerator(
-            np.random.Generator(np.random.PCG64(seq)), name, self._draws
+            np.random.Generator(np.random.PCG64(_derived_state_type()(state))),
+            name,
+            self._draws,
         )
 
     def normal_rows(self, names, loc: float, scale: float, size: int) -> np.ndarray:
@@ -313,10 +353,8 @@ class RngRegistry:
         :class:`CountingGenerator` is built.
         """
         names = list(names)
-        if self._pool is None:
-            self._pool = _seed_pool(self._seed)
         keys = np.fromiter(map(_name_key, names), dtype=np.uint32, count=len(names))
-        states = _pcg64_states(*self._pool, keys)
+        states = _pcg64_states(*_seed_pool(self._seed), keys)
         derived = _derived_state_type()
         generator, pcg64, draws = np.random.Generator, np.random.PCG64, self._draws
         recording = _obs._RECORDER is not None

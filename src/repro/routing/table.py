@@ -10,7 +10,11 @@ come from two sources, in priority order:
 
 Routing is static — computed once per (plane, src, dst) and cached —
 matching how HT routing registers actually work (no adaptive routing on
-these platforms).
+these platforms).  :meth:`RoutingTable.path` builds each pair's routed
+:class:`~repro.routing.paths.Path` once, too.  Only
+:meth:`RoutingTable.set_route` changes an answer; it drops that pair's
+route and path and replaces the table's :attr:`~RoutingTable.revision`
+token, so memos kept elsewhere on routed answers can tell they are stale.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.routing.incremental import (
     incremental_routes,
     route_usage,
 )
+from repro.routing.paths import Path
 
 __all__ = ["RoutingTable", "enumerate_min_hop_routes", "select_route"]
 
@@ -153,6 +158,11 @@ class RoutingTable:
         self._links = links
         self._overrides: dict[tuple[Plane, int, int], tuple[int, ...]] = {}
         self._cache: dict[tuple[Plane, int, int], tuple[int, ...]] = {}
+        #: Routed paths built so far, keyed like ``_cache``.
+        self._paths: dict[tuple[Plane, int, int], Path] = {}
+        #: A token replaced on every :meth:`set_route` and unique to this
+        #: table, so a memo that recorded it also notices a new table.
+        self.revision = object()
         self._adj: dict[int, list[int]] | None = None
         self._populated: set[Plane] = set()
         # Derive-time caches, built lazily by the first derive() and
@@ -288,8 +298,10 @@ class RoutingTable:
         key = (plane, hop_seq[0], hop_seq[-1])
         self._overrides[key] = hop_seq
         self._cache.pop(key, None)
+        self._paths.pop(key, None)
         self._plane_routes.pop(plane, None)
         self._usage.pop(plane, None)
+        self.revision = object()
 
     def route(self, plane: Plane, src: int, dst: int) -> tuple[int, ...]:
         """The node sequence traffic takes from ``src`` to ``dst``.
@@ -325,3 +337,17 @@ class RoutingTable:
     def route_links(self, plane: Plane, src: int, dst: int) -> tuple[DirectedLink, ...]:
         """The directed links along :meth:`route`."""
         return _route_links(self._links, self.route(plane, src, dst))
+
+    def path(self, plane: Plane, src: int, dst: int) -> Path:
+        """The routed :class:`~repro.routing.paths.Path` along :meth:`route`.
+
+        Built on the pair's first lookup and kept until :meth:`set_route`
+        replaces its route; a lookup that raises keeps nothing.
+        """
+        key = (plane, src, dst)
+        hit = self._paths.get(key)
+        if hit is None:
+            hops = self.route(plane, src, dst)
+            hit = Path(plane=plane, hops=hops, links=_route_links(self._links, hops))
+            self._paths[key] = hit
+        return hit

@@ -12,7 +12,8 @@ through :mod:`repro.topology.modify` — drop a link, change a credit,
 swap a controller — yields a new fingerprint and therefore a fresh
 session: stale capacity or routing answers cannot survive a topology
 change.  Explicit routing overrides installed via
-``machine.routing.set_route`` are folded into the fingerprint as well.
+``machine.routing.set_route`` are folded into the fingerprint as well,
+one installed after the fingerprint was first taken included.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "link_capacities",
     "build_capacities",
     "machine_fingerprint",
+    "stamp_fingerprint",
 ]
 
 _FINGERPRINT_ATTR = "_solver_fingerprint"
@@ -55,15 +57,18 @@ def build_capacities(machine: Machine) -> dict[str, float]:
 def machine_fingerprint(machine: Machine) -> str:
     """Stable topology fingerprint of ``machine``.
 
-    Computed from the canonical serialized description (plus any routing
-    overrides) and cached on the machine object — machines are immutable
-    after construction, and the what-if helpers in
+    Computed from the canonical serialized description plus any routing
+    overrides, and cached on the machine object with its routing table's
+    :attr:`~repro.routing.table.RoutingTable.revision`: the structure is
+    immutable after construction (the what-if helpers in
     :mod:`repro.topology.modify` always return *new* machines, which get
-    new fingerprints.
+    new fingerprints), but ``machine.routing.set_route`` replaces the
+    revision, so the next call folds the new override in.
     """
+    revision = machine.routing.revision
     cached = getattr(machine, _FINGERPRINT_ATTR, None)
-    if cached is not None:
-        return cached
+    if cached is not None and cached[0] is revision:
+        return cached[1]
     description = machine_to_dict(machine)
     overrides = getattr(machine.routing, "_overrides", None)
     if overrides:
@@ -73,8 +78,17 @@ def machine_fingerprint(machine: Machine) -> str:
         )
     blob = json.dumps(description, sort_keys=True, default=str)
     fingerprint = hashlib.sha1(blob.encode("utf-8")).hexdigest()
+    stamp_fingerprint(machine, fingerprint)
+    return fingerprint
+
+
+def stamp_fingerprint(machine: Machine, fingerprint: str) -> None:
+    """Cache ``fingerprint`` as ``machine``'s until its routing changes.
+
+    A fabric worker stamps the fingerprint its task carried on the
+    machine it rebuilt, so it never re-serializes that machine.
+    """
     try:
-        setattr(machine, _FINGERPRINT_ATTR, fingerprint)
+        setattr(machine, _FINGERPRINT_ATTR, (machine.routing.revision, fingerprint))
     except AttributeError:  # pragma: no cover - exotic machine subclasses
         pass
-    return fingerprint

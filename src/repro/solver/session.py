@@ -10,7 +10,9 @@ A session binds together, for one machine topology:
   characterization sweeps, benchmark rounds) are solved once;
 * memoized **path bandwidth** lookups (``dma_path_gbps`` /
   ``pio_stream_gbps``), the per-placement inner loop of every service
-  model;
+  model, kept under the routing revision they were computed at: after
+  a ``machine.routing.set_route`` they are recomputed, never served
+  stale;
 * the **stats** recording what all of the above actually did.
 
 Sessions can also be machine-less (``SolverSession()``): cluster-level
@@ -58,6 +60,8 @@ class SolverSession:
         self._capacities: dict[str, float] | None = None
         self._dma_paths: dict[tuple[int, int], float] = {}
         self._pio_streams: dict[tuple[int, int, int | None], float] = {}
+        #: The routing revision the path memos were filled under.
+        self._revision = machine.routing.revision if machine is not None else None
 
     @property
     def fingerprint(self) -> str | None:
@@ -167,10 +171,18 @@ class SolverSession:
             return network.simulate(flows)
 
     # --- memoized path models ---------------------------------------------
-    def dma_path_gbps(self, src: int, dst: int) -> float:
-        """Memoized :meth:`Machine.dma_path_gbps`."""
+    def _check_routing(self) -> None:
+        """Drop every cached answer if the machine's routing moved since."""
         if self.machine is None:
             raise SimulationError("this solver session has no machine")
+        revision = self.machine.routing.revision
+        if revision is not self._revision:
+            self.invalidate()
+            self._revision = revision
+
+    def dma_path_gbps(self, src: int, dst: int) -> float:
+        """Memoized :meth:`Machine.dma_path_gbps`."""
+        self._check_routing()
         key = (src, dst)
         value = self._dma_paths.get(key)
         if value is None:
@@ -185,8 +197,7 @@ class SolverSession:
         self, cpu_node: int, mem_node: int, threads: int | None = None
     ) -> float:
         """Memoized :meth:`Machine.pio_stream_gbps`."""
-        if self.machine is None:
-            raise SimulationError("this solver session has no machine")
+        self._check_routing()
         key = (cpu_node, mem_node, threads)
         value = self._pio_streams.get(key)
         if value is None:
@@ -263,10 +274,16 @@ def get_session(machine) -> SolverSession:
     structurally identical machines share one session; a machine edited
     through :mod:`repro.topology.modify` has a different fingerprint and
     gets a fresh session, so no caller ever sees stale capacities or
-    routes after a what-if edit.
+    routes after a what-if edit.  A routing override installed with
+    ``set_route`` changes a machine's fingerprint too, so a registered
+    session whose machine no longer has its key's fingerprint is
+    replaced on that key's next lookup.
     """
     fingerprint = machine_fingerprint(machine)
     session = _SESSIONS.get(fingerprint)
+    if session is not None and machine_fingerprint(session.machine) != fingerprint:
+        del _SESSIONS[fingerprint]
+        session = None
     if session is None:
         session = SolverSession(machine)
         _SESSIONS[fingerprint] = session

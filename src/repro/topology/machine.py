@@ -223,9 +223,12 @@ class Machine:
         return self._routing
 
     def path(self, plane: Plane, src: int, dst: int) -> Path:
-        """The routed :class:`~repro.routing.paths.Path` for this plane."""
-        hops = self._routing.route(plane, src, dst)
-        return Path(plane=plane, hops=hops, links=self._routing.route_links(plane, src, dst))
+        """The routed :class:`~repro.routing.paths.Path` for this plane.
+
+        Built once per pair by :meth:`RoutingTable.path
+        <repro.routing.table.RoutingTable.path>`.
+        """
+        return self._routing.path(plane, src, dst)
 
     # --- capacity models ------------------------------------------------------
     def dma_path_gbps(self, src: int, dst: int) -> float:

@@ -1,12 +1,12 @@
-"""Batch noise rows equal numpy's SeedSequence streams, draw for draw.
+"""Named streams and batch noise rows equal numpy's SeedSequence streams.
 
-:meth:`RngRegistry.normal_rows` re-implements ``SeedSequence(entropy=seed,
-spawn_key=(key,)).generate_state(4, uint64)`` vectorized over keys and
-draws each row from a bare generator on that state.  These properties
-pin the derivation to numpy itself — so they are also the alarm if a
-numpy release ever changes the SeedSequence hash — and pin the rows,
-the draw ledger and the ``rng.draws/*`` counters to
-:meth:`RngRegistry.stream`'s.
+:meth:`RngRegistry.stream` and :meth:`RngRegistry.normal_rows` re-implement
+``SeedSequence(entropy=seed, spawn_key=(key,)).generate_state(4, uint64)``,
+one key in Python ints and vectorized over keys, and draw from a
+generator on that state.  These properties pin both derivations to numpy
+itself — so they are also the alarm if a numpy release ever changes the
+SeedSequence hash — and pin the rows, the draw ledger and the
+``rng.draws/*`` counters to :meth:`RngRegistry.stream`'s.
 """
 
 from __future__ import annotations
@@ -59,6 +59,37 @@ def test_rows_match_seed_sequence(seed, extra):
     rows = _rows(seed, key_list)
     assert rows.dtype == np.uint64 and rows.shape == (len(key_list), 4)
     assert (rows == _reference_rows(seed, key_list)).all()
+
+
+def _seed_sequence_generator(seed: int, name: str) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(_name_key(name),))
+    ))
+
+
+def _assert_stream_matches(seed: int, name: str) -> None:
+    stream = RngRegistry(seed).stream(name)
+    reference = _seed_sequence_generator(seed, name)
+    assert stream.bit_generator.state == reference.bit_generator.state
+    assert not isinstance(stream.bit_generator.seed_seq, np.random.SeedSequence)
+    assert [v.hex() for v in stream.random(5).tolist()] == [
+        v.hex() for v in reference.random(5).tolist()
+    ]
+
+
+EDGE_NAMES = ["", "ñødé/κ/🙂", "x" * 300, "fio/tcp/fig5-send@n7x16/run0"]
+
+
+@pytest.mark.parametrize("seed", FIXED_SEEDS + [2**100])
+@pytest.mark.parametrize("name", EDGE_NAMES, ids=["empty", "unicode", "300", "fio"])
+def test_fixed_seed_stream_matches_seed_sequence(seed, name):
+    _assert_stream_matches(seed, name)
+
+
+@given(seed=seeds, name=st.one_of(st.text(max_size=12), st.text(min_size=300, max_size=400)))
+@settings(max_examples=60, deadline=None)
+def test_stream_matches_seed_sequence(seed, name):
+    _assert_stream_matches(seed, name)
 
 
 def _recorded(draw):

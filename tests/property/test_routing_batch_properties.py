@@ -4,10 +4,14 @@ The batch engine must be *bit-identical* to ``select_route`` — the
 whole reproduction (EXPERIMENTS.md included) rides on the routes — so
 these properties sweep randomized connected topologies with asymmetric
 per-direction link attributes drawn from small discrete sets (to force
-plenty of score ties) and compare every pair on both planes.
+plenty of score ties) and compare every pair on both planes.  The
+routed ``Path`` each pair builds once must equal one built fresh from
+those routes, after an override and on a derived table too.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +22,9 @@ from repro.faults import FaultedMachine, LinkFail
 from repro.interconnect.link import DirectedLink
 from repro.interconnect.planes import ALL_PLANES, PLANE_DMA
 from repro.routing.batch import batch_routes
+from repro.routing.paths import Path
 from repro.routing.table import RoutingTable, select_route
-from repro.topology.builders import reference_host
+from repro.topology.builders import reference_host, scaled_host
 
 NS = 1e-9
 
@@ -114,6 +119,75 @@ def test_overrides_win_over_populated_routes(links, data):
         for b in nodes:
             if (a, b) != (src, dst):
                 assert table.route(plane, a, b) == select_route(links, plane, a, b)
+
+
+def _assert_paths_fresh(paths, links, nodes, overrides=()):
+    """``paths(plane, a, b)`` equals a Path built fresh, and is built
+    once; an unreachable pair raises on every lookup."""
+    overrides = dict(overrides)
+    for plane in ALL_PLANES:
+        for a in nodes:
+            for b in nodes:
+                try:
+                    hops = overrides.get((plane, a, b)) or select_route(
+                        links, plane, a, b
+                    )
+                except RoutingError:
+                    for _ in range(2):
+                        with pytest.raises(RoutingError):
+                            paths(plane, a, b)
+                    continue
+                path = paths(plane, a, b)
+                assert path == Path(
+                    plane=plane, hops=hops,
+                    links=tuple(links[ends] for ends in zip(hops, hops[1:])),
+                )
+                assert paths(plane, a, b) is path
+
+
+@given(link_maps(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_paths_equal_fresh_paths_after_overrides_and_derive(links, data):
+    nodes = sorted({n for ends in links for n in ends})
+    table = RoutingTable(links)
+    _assert_paths_fresh(table.path, links, nodes)
+    # Override one 2-hop route after every path was built.
+    adj = {}
+    for s, d in links:
+        adj.setdefault(s, []).append(d)
+    mid = data.draw(
+        st.sampled_from(sorted(n for n, outs in adj.items() if len(outs) >= 2))
+    )
+    src = data.draw(st.sampled_from(sorted(adj[mid])))
+    dst = data.draw(st.sampled_from(sorted(d for d in adj[mid] if d != src)))
+    plane = data.draw(st.sampled_from(ALL_PLANES))
+    table.set_route(plane, (src, mid, dst))
+    overrides = {(plane, src, dst): (src, mid, dst)}
+    _assert_paths_fresh(table.path, links, nodes, overrides)
+    # Derive onto a map where one direction lost DMA credit: every path,
+    # the override's included, must carry the new map's link objects.
+    ends = data.draw(st.sampled_from(sorted(links)))
+    worse = dict(links)
+    worse[ends] = replace(links[ends], dma_credit=0.25)
+    _assert_paths_fresh(table.derive(worse).path, worse, nodes, overrides)
+
+
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=99),
+       st.data())
+@settings(max_examples=15, deadline=None)
+def test_machine_paths_equal_fresh_paths(packages, seed, data):
+    """``Machine.path`` on seeded hosts and on their faulted views, whose
+    tables are derived incrementally from the host's (a failed cable may
+    cut nodes off)."""
+    host = scaled_host(packages, seed=seed)
+    links = host.links
+    _assert_paths_fresh(host.path, links, host.node_ids)
+    a, b = data.draw(st.sampled_from(sorted(
+        (a, b) for a, b in links if a < b and a // 2 != b // 2
+    )))
+    faulted = FaultedMachine(host, (LinkFail(a, b),))
+    assert faulted.routing.last_reroute
+    _assert_paths_fresh(faulted.path, faulted.links, faulted.node_ids)
 
 
 class TestPartitionedFabric:

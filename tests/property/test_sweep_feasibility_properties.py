@@ -77,7 +77,7 @@ _ROOM = [0, 0.5, 1, 1.5, 2, 3]
 
 @st.composite
 def sweeps(draw):
-    """A host with drawn free memory, targets and a mode.
+    """A host with drawn free memory, distinct targets and a mode.
 
     A third of the hosts give every node two buffers or more, so every
     probe fits; a third give at least one, so only a local probe can
@@ -89,7 +89,8 @@ def sweeps(draw):
     machine = _with_free_bytes({
         n: int(b * _NEED) for n, b in zip(_BARE.node_ids, buffers)
     })
-    targets = draw(st.lists(st.sampled_from(_BARE.node_ids), min_size=1, max_size=4))
+    targets = draw(st.lists(st.sampled_from(_BARE.node_ids), min_size=1, max_size=4,
+                            unique=True))
     return machine, targets, draw(st.sampled_from(["write", "read"]))
 
 

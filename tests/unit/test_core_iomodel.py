@@ -133,6 +133,23 @@ class TestSweepTargets:
                 pool.build_many(host, iter(targets), "write", runs=3)
             assert pool.dispatched == 0 and pool._executor is None
 
+    def test_build_many_rejects_a_repeat_serial_and_pooled(self, host):
+        """Serial and sharded sweeps refuse a repeated target alike,
+        before any probe is solved, any stream drawn or any task sent."""
+        registry = RngRegistry(5)
+        builder = IOModelBuilder(host, registry=registry, runs=3)
+        solves = builder.session.stats.solves
+        with pytest.raises(ModelError, match="^target node 3 is listed twice$"):
+            builder.build_many(iter((3, 5, 3)), "write")
+        assert registry.draw_counts == {}
+        assert builder.session.stats.solves == solves
+        with FabricPool(jobs=2) as pool:
+            with pytest.raises(ModelError, match="^target node 3 is listed twice$"):
+                pool.build_many(host, iter((3, 5, 3)), "write",
+                                registry=registry, runs=3)
+            assert pool.dispatched == 0
+        assert registry.draw_counts == {}
+
     @pytest.mark.parametrize("targets, message", [
         ((3, 5, 3), "target node 3 is listed twice"),
         ((3, 42), "unknown target node 42"),

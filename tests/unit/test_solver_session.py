@@ -6,10 +6,12 @@ from repro.bench.engines import MemcpyEngine
 from repro.bench.jobfile import FioJob
 from repro.errors import SimulationError
 from repro.flows.flow import Flow
+from repro.interconnect.planes import PLANE_DMA
 from repro.memory.controller import controller_capacities
 from repro.rng import RngRegistry
 from repro.solver.capacity import build_capacities, link_capacities, machine_fingerprint
 from repro.solver.session import SolverSession, get_session, reset_sessions
+from repro.topology.builders import reference_host
 from repro.topology.modify import with_dram_gbps, with_link_credit, with_link_removed
 
 
@@ -120,6 +122,60 @@ class TestInvalidation:
         assert session.stats.capacity_builds == 2
         assert session.stats.cache_misses == 2
         assert session.stats.cache_hits == 0
+
+
+class TestLateRoutingOverride:
+    """An override installed after a machine's first session reaches
+    every answer derived from routing: 0 -> 7 over the DMA plane reads
+    44.544 Gbps on the reference route and 25.6 over 0-1-3-4-7."""
+
+    ROUTE = (0, 1, 3, 4, 7)
+
+    @pytest.fixture()
+    def machine(self):
+        """A reference host of this test's own: the override mutates it."""
+        return reference_host(with_devices=False)
+
+    def _override(self, machine):
+        machine.routing.set_route(PLANE_DMA, self.ROUTE)
+
+    def test_machine_path_is_built_once_and_rebuilt_by_the_override(self, machine):
+        path = machine.path(PLANE_DMA, 0, 7)
+        assert machine.path(PLANE_DMA, 0, 7) is path
+        assert machine.dma_path_gbps(0, 7) == pytest.approx(44.544)
+        self._override(machine)
+        rerouted = machine.path(PLANE_DMA, 0, 7)
+        assert rerouted.hops == self.ROUTE
+        assert machine.path(PLANE_DMA, 0, 7) is rerouted
+        assert machine.dma_path_gbps(0, 7) == pytest.approx(25.6)
+
+    def test_get_session_answers_for_the_override(self, machine):
+        assert get_session(machine).dma_path_gbps(0, 7) == pytest.approx(44.544)
+        self._override(machine)
+        assert get_session(machine).dma_path_gbps(0, 7) == pytest.approx(25.6)
+
+    def test_a_session_held_across_the_override_answers_cold(self, machine):
+        held = get_session(machine)
+        assert held.dma_path_gbps(0, 7) == pytest.approx(44.544)
+        self._override(machine)
+        assert held.dma_path_gbps(0, 7) == pytest.approx(25.6)
+        assert held.stats.path_misses == 2 and held.stats.path_hits == 0
+
+    def test_fingerprint_folds_in_a_late_override(self, machine):
+        before = machine_fingerprint(machine)
+        self._override(machine)
+        built = reference_host(with_devices=False)
+        self._override(built)
+        assert machine_fingerprint(machine) == machine_fingerprint(built)
+        assert machine_fingerprint(machine) != before
+
+    def test_an_untouched_twin_keeps_its_own_routes(self, machine):
+        get_session(machine).dma_path_gbps(0, 7)
+        self._override(machine)
+        twin = reference_host(with_devices=False)
+        session = get_session(twin)
+        session.invalidate()
+        assert session.dma_path_gbps(0, 7) == pytest.approx(44.544)
 
 
 class TestRegistryDrop:

@@ -16,12 +16,16 @@ that mechanism on top of the class model:
   "migrating parallel I/O threads" mechanism of §VI applied to
   unmodified workloads);
 * :class:`OnlineSimulator` — an event-driven run (arrivals, completions,
-  migration epochs) on the library's one
-  :class:`~repro.flows.network.FlowLoop`, whose instantaneous rates come
-  from the same service-level model as the fio engines, so policies are
-  compared on the exact physics the benchmarks validated.  Its step hook
-  places the streams admitted at that step, runs any migration epochs
-  due, and pauses stalled streams until their stall ends.
+  migration epochs, stalls) whose instantaneous rates come from the
+  same service-level model as the fio engines, so policies are compared
+  on the exact physics the benchmarks validated.  Each step is one
+  device resource shared by the running streams (the single-bottleneck
+  case), so the run is its own list loop over the active streams with
+  :class:`~repro.flows.network.FlowLoop`'s arithmetic: admission,
+  horizon, integration and retirement in the same order, one
+  :func:`~repro.solver.incremental.water_fill` per step.  Its test
+  reference is a frozen ``FlowLoop`` step-hook simulator, which it
+  must match field for field.
 
 Migration is not free: a migrated stream pays 0.5 s of stalled transfer
 (page unmap/copy/remap), so the policy must earn its moves.
@@ -30,17 +34,20 @@ Migration is not free: a migrated stream pays 0.5 s of stalled transfer
 from __future__ import annotations
 
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from repro.bench.engines import placement_service_level
-from repro.errors import ModelError
-from repro.flows.flow import Flow
-from repro.flows.network import FlowLoop
+from repro.errors import ModelError, SimulationError
+from repro.flows.network import _TIME_EPS
 from repro.core.model import IOPerformanceModel
 from repro.core.scheduler_advisor import PlacementAdvisor
 from repro.rng import RngRegistry
+from repro.solver.incremental import water_fill
 from repro.solver.session import get_session
 from repro.topology.machine import Machine
 from repro.units import GB, gbps
@@ -122,6 +129,11 @@ class OnlineWorkload:
             raise ModelError(f"workload size must be positive, got {mean_size_bytes!r}")
         if not 0 <= write_fraction <= 1:
             raise ModelError("write_fraction must be in [0, 1]")
+        if not 0 <= size_sigma < math.inf:
+            raise ModelError(
+                "workload size_sigma must be non-negative and finite, "
+                f"got {size_sigma!r}"
+            )
         self.registry = registry or RngRegistry()
         self.rate_per_s = rate_per_s
         self.mean_size_bytes = mean_size_bytes
@@ -130,6 +142,12 @@ class OnlineWorkload:
 
     def generate(self, n_streams: int, label: str = "wl") -> list[StreamJob]:
         """``n_streams`` jobs with seeded arrivals and sizes."""
+        try:
+            n_streams = operator.index(n_streams)
+        except TypeError:
+            raise ModelError(
+                f"stream count must be an integer, got {n_streams!r}"
+            ) from None
         if n_streams < 1:
             raise ModelError("need at least one stream")
         rng = self.registry.stream(f"workload/{label}")
@@ -265,66 +283,130 @@ class OnlineSimulator:
         return moved
 
     # --- rate computation ---------------------------------------------------
-    def _rates(self, now: float, active: list[StreamJob]) -> dict[str, float]:
-        running = [j for j in active if j.stalled_until_s <= now]
-        if not running:
-            return {}
+    def _rates(
+        self, running: list[StreamJob], levels: dict[tuple[int, str, int], float]
+    ) -> list[float]:
+        """Max-min rates (Gbps) of the running streams, in running order.
+
+        The streams share the device resource, whose capacity is the
+        mean of their service levels; each wants its level split over
+        the DMA contexts, capped per stream.  A level depends only on
+        the stream's node, its direction and its node's stream count,
+        so ``levels`` memoizes it for the run, and each (node,
+        direction) group computes its demand once per step; the lists
+        keep running order, so the mean sums the same floats in the
+        same order.  One :func:`~repro.solver.incremental.water_fill`
+        settles the step and counts one ``solves``.  A non-positive
+        demand or capacity raises :class:`~repro.errors.SimulationError`
+        with the text a ``Flow`` and the allocation cache use.
+        """
         streams_on_node: dict[int, int] = {}
         for j in running:
             streams_on_node[j.node] = streams_on_node.get(j.node, 0) + 1
         ways = max(1.0, len(running) / self.device.dma.contexts)
-        # A stream's level and demand depend only on its node, its
-        # direction and its node's stream count, so each (node,
-        # direction) group computes them once; the lists keep running
-        # order, so ``agg`` sums the same floats in the same order.
         groups: dict[tuple[int, str], tuple[float, float]] = {}
-        levels = []
+        stream_levels = []
         demands = []
         for j in running:
             key = (j.node, j.direction)
-            if key not in groups:
+            group = groups.get(key)
+            if group is None:
                 profile = self.profiles[j.direction]
-                level = placement_service_level(
-                    self.machine, self.device, profile, j.direction, j.node,
-                    j.node, streams_on_node[j.node], self.session,
-                )
+                memo = (j.node, j.direction, streams_on_node[j.node])
+                level = levels.get(memo)
+                if level is None:
+                    level = levels[memo] = placement_service_level(
+                        self.machine, self.device, profile, j.direction,
+                        j.node, j.node, memo[2], self.session,
+                    )
                 demand = level / ways
                 if profile.per_stream_cap_gbps is not None:
                     demand = min(demand, profile.per_stream_cap_gbps)
                 if profile.cpu_gbps_per_stream is not None:
                     demand = min(demand, profile.cpu_gbps_per_stream)
-                groups[key] = level, demand
-            level, demand = groups[key]
-            levels.append(level)
-            demands.append(demand)
-        agg = sum(levels) / len(levels)
-        return self.session.shared_rates(
-            [j.name for j in running], demands, self._resource, agg
-        )
+                if demand <= 0:
+                    raise SimulationError(f"flow {j.name!r}: demand must be positive")
+                group = groups[key] = level, demand
+            stream_levels.append(group[0])
+            demands.append(group[1])
+        capacity = sum(stream_levels) / len(stream_levels)
+        if capacity <= 0:
+            raise SimulationError(
+                f"resource {self._resource!r} has non-positive capacity"
+            )
+        self.session.stats.solves += 1
+        return water_fill(demands, capacity)
 
     # --- the event loop ---------------------------------------------------
-    def run(self, jobs: list[StreamJob], policy: str) -> PolicyOutcome:
+    def run(self, jobs: Iterable[StreamJob], policy: str) -> PolicyOutcome:
         """Simulate one policy over (fresh copies of) ``jobs``."""
         if policy not in POLICIES:
             raise ModelError(f"unknown policy {policy!r}; choose from {POLICIES}")
+        jobs = _job_list(jobs)
         rng = self.registry.stream(f"online/{policy}")
-        fresh = {
-            j.name: StreamJob(name=j.name, arrival_s=j.arrival_s,
-                              size_bytes=j.size_bytes, direction=j.direction)
-            for j in jobs
-        }
-        flows = [
-            Flow(name=j.name, resources=(self._resource,),
-                 size_bytes=j.size_bytes, start_s=j.arrival_s)
+        fresh = [
+            StreamJob(name=j.name, arrival_s=j.arrival_s,
+                      size_bytes=j.size_bytes, direction=j.direction)
             for j in jobs
         ]
+        with self.session.stats.phase("simulate"):
+            finished = self._simulate(fresh, policy, rng)
+        completions = {job.name: end - job.arrival_s for job, end in finished}
+        times = np.array(sorted(completions.values()))
+        makespan = (max(end for _, end in finished)
+                    - min(job.arrival_s for job, _ in finished))
+        total_bytes = sum(float(job.size_bytes) for job, _ in finished)
+        return PolicyOutcome(
+            policy=policy,
+            mean_completion_s=float(times.mean()),
+            p95_completion_s=float(np.percentile(times, 95)),
+            makespan_s=makespan,
+            aggregate_gbps=gbps(total_bytes, makespan),
+            migrations=sum(j.migrations for j in fresh),
+            per_stream_completion_s=completions,
+            solver_stats=self.session.stats.snapshot(),
+        )
+
+    def _simulate(
+        self, jobs: list[StreamJob], policy: str, rng: np.random.Generator
+    ) -> list[tuple[StreamJob, float]]:
+        """Run ``jobs`` to completion; ``(job, finish_s)`` in finish order.
+
+        :class:`~repro.flows.network.FlowLoop`'s arithmetic over a list
+        of active streams.  Each step admits the arrivals due (within
+        the loop's tolerance) in ``(arrival, name)`` order, places them,
+        runs the migration epochs due, and ends at the next arrival,
+        epoch, stall end or completion.  Rates are in bytes/s as
+        ``rate * 1e9 / 8``; a stream retires once at most ``max(1 B,
+        1e-9 * size)`` remains, in active order.  While nothing is
+        active the clock jumps to the next arrival.
+        """
+        pending = deque(sorted(jobs, key=lambda j: (j.arrival_s, j.name)))
+        names = [j.name for j in pending]
+        if len(set(names)) != len(names):
+            raise SimulationError(
+                "duplicate flow names in simulation: "
+                f"{sorted({n for n in names if names.count(n) > 1})}"
+            )
+        done = {j.name: max(1.0, 1e-9 * j.size_bytes) for j in pending}
         migrate = policy == "class-migrate"
         next_epoch = _EPOCH_S
-
-        def step(loop: FlowLoop):
-            nonlocal next_epoch
-            now = loop.now
-            active = [fresh[name] for name in loop.active]
+        levels: dict[tuple[int, str, int], float] = {}
+        active: list[StreamJob] = []
+        finished: list[tuple[StreamJob, float]] = []
+        now = pending[0].arrival_s
+        steps = 0
+        while pending or active:
+            steps += 1
+            if steps > 1_000_000:  # pragma: no cover - safety valve
+                raise SimulationError("flow simulation failed to converge")
+            due = now + _TIME_EPS
+            while pending and pending[0].arrival_s <= due:
+                active.append(pending.popleft())
+            t = pending[0].arrival_s if pending else math.inf
+            if not active:
+                now = max(now, t)
+                continue
             # Streams admitted this step are the unplaced ones; each one's
             # placement sees those placed before it.
             for job in active:
@@ -333,7 +415,7 @@ class OnlineSimulator:
             until = math.inf
             if migrate:
                 # Catch up on every epoch due (idle jumps can skip several).
-                while loop.reached(next_epoch):
+                while next_epoch <= due:
                     moved = self._plan_migrations(now, active)
                     next_epoch += _EPOCH_S
                     if not moved:
@@ -343,30 +425,53 @@ class OnlineSimulator:
                         # of 20 s are exact below 2**53 s, so this is
                         # where the repeated sums would land.
                         k = int(now // _EPOCH_S)
-                        while loop.reached(_EPOCH_S * k):
+                        while _EPOCH_S * k <= due:
                             k += 1
                         next_epoch = _EPOCH_S * k
                 until = next_epoch
+            running = []
             for job in active:
                 if job.stalled_until_s > now:
                     until = min(until, job.stalled_until_s)
-            return self._rates(now, active), until
+                else:
+                    running.append(job)
+            horizon = min(t, until) - now
+            rates = self._rates(running, levels) if running else []
+            speeds = [rate * 1e9 / 8 for rate in rates]
+            for job, speed in zip(running, speeds):
+                if speed <= 0:
+                    raise SimulationError(
+                        f"flow {job.name!r} starved (rate 0); resource set "
+                        f"{(self._resource,)} cannot progress"
+                    )
+                left = job.remaining_bytes / speed
+                if left < horizon:
+                    horizon = left
+            if horizon == math.inf or horizon < 0:
+                raise SimulationError("no progress horizon in flow simulation")
+            for job, speed in zip(running, speeds):
+                job.remaining_bytes -= speed * horizon
+            now = now + horizon
+            kept = []
+            for job in active:
+                if job.remaining_bytes <= done[job.name]:
+                    finished.append((job, now))
+                else:
+                    kept.append(job)
+            active = kept
+        return finished
 
-        outcomes = FlowLoop(flows, step).run().values()
-        completions = {o.name: o.duration_s for o in outcomes}
-        times = np.array(sorted(completions.values()))
-        makespan = max(o.finish_s for o in outcomes) - min(o.start_s for o in outcomes)
-        return PolicyOutcome(
-            policy=policy,
-            mean_completion_s=float(times.mean()),
-            p95_completion_s=float(np.percentile(times, 95)),
-            makespan_s=makespan,
-            aggregate_gbps=gbps(sum(o.bytes_moved for o in outcomes), makespan),
-            migrations=sum(j.migrations for j in fresh.values()),
-            per_stream_completion_s=completions,
-            solver_stats=self.session.stats.snapshot(),
-        )
-
-    def compare(self, jobs: list[StreamJob], policies=POLICIES) -> dict[str, PolicyOutcome]:
+    def compare(
+        self, jobs: Iterable[StreamJob], policies=POLICIES
+    ) -> dict[str, PolicyOutcome]:
         """Run several policies over the same workload."""
+        jobs = _job_list(jobs)
         return {policy: self.run(jobs, policy) for policy in policies}
+
+
+def _job_list(jobs: Iterable[StreamJob]) -> list[StreamJob]:
+    """``jobs`` read once into a list; an empty workload is a ModelError."""
+    jobs = list(jobs)
+    if not jobs:
+        raise ModelError("need at least one stream to simulate")
+    return jobs

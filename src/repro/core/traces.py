@@ -52,7 +52,12 @@ def save_trace(jobs: Iterable[StreamJob], path: str | Path) -> int:
 
 def load_trace(path: str | Path) -> list[StreamJob]:
     """Read a trace written by :func:`save_trace` (or by any log
-    exporter emitting the same fields)."""
+    exporter emitting the same fields).
+
+    The header must be a JSON object of the supported format; when it
+    declares a ``streams`` count, the trace must hold that many stream
+    lines, so a truncated export is refused rather than replayed.
+    """
     source = Path(path)
     if not source.exists():
         raise ModelError(f"no trace at {source}")
@@ -63,6 +68,11 @@ def load_trace(path: str | Path) -> list[StreamJob]:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise ModelError(f"malformed trace header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ModelError(
+                f"malformed trace header: expected a JSON object, got "
+                f"{type(header).__name__}"
+            )
         if header.get("format_version") != _FORMAT_VERSION:
             raise ModelError(
                 f"unsupported trace format {header.get('format_version')!r}"
@@ -87,6 +97,11 @@ def load_trace(path: str | Path) -> list[StreamJob]:
                 ) from exc
     if not jobs:
         raise ModelError(f"trace {source} contains no streams")
+    if "streams" in header and header["streams"] != len(jobs):
+        raise ModelError(
+            f"trace {source} header declares {header['streams']!r} streams "
+            f"but holds {len(jobs)}"
+        )
     names = [j.name for j in jobs]
     if len(set(names)) != len(names):
         raise ModelError(f"trace {source} has duplicate stream names")

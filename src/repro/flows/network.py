@@ -1,20 +1,21 @@
-"""Time-domain flow simulation: the one event loop.
+"""Time-domain flow simulation: the event loop.
 
 Long benchmarks (fio's 400-GB-per-stream transfers) are simulated by
 recomputing rates at every *rate-change event* — a flow arriving or
-completing, or a boundary the caller names (a fault window, a migration
-epoch, the end of a stall) — and integrating bytes between events.
+completing, a parked flow waking, or a boundary the caller names (a
+fault window) — and integrating bytes between events.
 With identical, simultaneous streams the allocation is constant and the
 loop converges in one step; with staggered or mixed workloads the
 piecewise-constant rate profile is captured exactly.
 
-:class:`FlowLoop` is that loop, and every time-domain simulation in the
-library runs on it: :meth:`FlowNetwork.simulate` (max-min rates on fixed
-capacities), :class:`~repro.faults.degraded.DegradedFlowRunner` (rates
-on fault-derated capacities, with blocked flows re-routed, parked or
-failed) and :class:`~repro.core.migration.OnlineSimulator` (placement,
-migration epochs and stalls).  They differ only in the step hook they
-pass.
+:class:`FlowLoop` is that loop.  Two simulations run on it and differ
+only in the step hook they pass: :meth:`FlowNetwork.simulate` (max-min
+rates on fixed capacities) and
+:class:`~repro.faults.degraded.DegradedFlowRunner` (rates on
+fault-derated capacities, with blocked flows re-routed, parked or
+failed).  :class:`~repro.core.migration.OnlineSimulator`, whose every
+step is one shared device resource, runs the same arithmetic as its own
+list loop.
 
 :class:`FlowNetwork` rates come from one of two hooks, chosen once per
 ``simulate`` call.  When every flow crosses the same single resource
@@ -146,10 +147,6 @@ class FlowLoop:
         self._outcomes: dict[str, FlowOutcome] = {}
 
     # --- actions for step hooks -------------------------------------------
-    def reached(self, t: float) -> bool:
-        """Whether time ``t`` has come, by the rule that admits arrivals."""
-        return t <= self.now + _TIME_EPS
-
     def park(self, name: str, wake_s: float) -> None:
         """Take an active flow out until ``wake_s`` (one retry)."""
         self._parked[name] = (self.active.pop(name), wake_s)

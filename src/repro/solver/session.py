@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.errors import SimulationError
 from repro.flows.network import FlowNetwork, FlowOutcome
 from repro.solver.capacity import build_capacities, machine_fingerprint
-from repro.solver.incremental import AllocationCache, water_fill
+from repro.solver.incremental import AllocationCache
 from repro.solver.stats import SolverStats
 
 __all__ = ["SolverSession", "get_session", "reset_sessions"]
@@ -98,38 +98,6 @@ class SolverSession:
         caps = capacities if capacities is not None else self._fabric_capacities()
         with self.stats.phase("allocate"):
             return self._alloc.rates(flows, caps)
-
-    def shared_rates(
-        self,
-        names: Sequence[str],
-        demands: Sequence[float],
-        resource: str,
-        capacity: float,
-    ) -> dict[str, float]:
-        """Max-min rates of weight-1 flows that share one resource.
-
-        The rates :meth:`rates` returns for ``Flow(name, (resource,),
-        demand)`` per stream on ``{resource: capacity}``, from one
-        :func:`~repro.solver.incremental.water_fill` sweep instead of a
-        flow list and a cache lookup.  It raises what building those
-        flows and that lookup raise, with the same messages: a
-        non-positive demand, a repeated name, a non-positive capacity.
-        Each call is one ``allocate`` phase and counts one cold solve.
-        """
-        for name, demand in zip(names, demands):
-            if demand <= 0:
-                raise SimulationError(f"flow {name!r}: demand must be positive")
-        with self.stats.phase("allocate"):
-            if len(set(names)) != len(names):
-                raise SimulationError(
-                    f"duplicate flow names in allocation: {sorted(names)}"
-                )
-            if not names:
-                return {}
-            if capacity <= 0:
-                raise SimulationError(f"resource {resource!r} has non-positive capacity")
-            self.stats.solves += 1
-            return dict(zip(names, water_fill(demands, capacity)))
 
     def equal_shares(
         self,

@@ -74,6 +74,17 @@ class TestOnlineTraces:
         ]
         assert policy_lines(first) == policy_lines(second)
 
+    def test_bad_traces_exit_2(self, tmp_path, capsys):
+        stream = '{"name": "s0", "arrival_s": 0.0, "size_bytes": 1e9}\n'
+        not_an_object = tmp_path / "list.trace"
+        not_an_object.write_text("[1]\n" + stream, encoding="utf-8")
+        truncated = tmp_path / "cut.trace"
+        truncated.write_text(
+            '{"format_version": 1, "streams": 2}\n' + stream, encoding="utf-8"
+        )
+        assert main(["online", "--trace", str(not_an_object)]) == 2
+        assert main(["online", "--trace", str(truncated)]) == 2
+
 
 class TestPlan:
     def test_plan_recommendation(self, capsys):

@@ -91,3 +91,30 @@ class TestValidation:
         save_trace([jobs[0], jobs[0]], path)
         with pytest.raises(ModelError):
             load_trace(path)
+
+    @pytest.mark.parametrize("header", ["[1]", "3", '"v1"', "null"])
+    def test_header_must_be_an_object(self, tmp_path, header):
+        path = tmp_path / "bad.trace"
+        path.write_text(
+            f'{header}\n{{"name": "s0", "arrival_s": 0.0, "size_bytes": 1e9}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ModelError, match="expected a JSON object"):
+            load_trace(path)
+
+    def test_truncated_trace_rejected(self, jobs, tmp_path):
+        path = tmp_path / "cut.trace"
+        save_trace(jobs[:3], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        with pytest.raises(ModelError, match="declares 3 streams but holds 2"):
+            load_trace(path)
+
+    def test_header_without_a_count_accepted(self, tmp_path):
+        path = tmp_path / "plain.trace"
+        path.write_text(
+            '{"format_version": 1}\n'
+            '{"name": "s0", "arrival_s": 0.0, "size_bytes": 1e9}\n',
+            encoding="utf-8",
+        )
+        assert [j.name for j in load_trace(path)] == ["s0"]

@@ -28,7 +28,6 @@ from repro.routing.table import RoutingTable
 from repro.service import AdvisoryBackend, PlacementService
 from repro.service.soak import LogicalClock, build_traffic
 from repro.solver import reset_sessions
-from repro.solver.incremental import AllocationCache
 from repro.topology.builders import hp_blade_32n, reference_host, scaled_host
 from repro.units import GB
 
@@ -76,9 +75,7 @@ def test_perf_cold_solve_device_streams(benchmark):
     The fio event-loop shape.  Demands straddle the fair share, so the
     streams finish in waves and every wave re-solves the allocation.
     Every stream crosses the one device resource at weight 1, so each
-    wave is a ``water_fill`` sweep and the allocation cache is never
-    consulted; the fresh cache per round only keeps the call the same
-    as when this shape went through it.
+    wave is a ``water_fill`` sweep; each round builds a fresh network.
     """
     flows = [
         Flow(name=f"s{i}", resources=("dev",), demand_gbps=0.5 + 0.25 * i,
@@ -87,7 +84,7 @@ def test_perf_cold_solve_device_streams(benchmark):
     ]
 
     def simulate():
-        network = FlowNetwork({"dev": 22.0}, allocator=AllocationCache())
+        network = FlowNetwork({"dev": 22.0})
         return network.simulate(flows)
 
     outcomes = benchmark(simulate)
@@ -99,7 +96,7 @@ def test_perf_online_class_migrate(benchmark):
 
     Poisson arrivals at 0.12/s queue up on the NIC; every arrival,
     completion, 20 s migration epoch and stall end re-rates the running
-    streams through ``SolverSession.shared_rates``.
+    streams with one ``water_fill`` sweep.
     """
     host = reference_host()
     model = IOModelBuilder(host, registry=RngRegistry(), runs=10).build(7, "write")

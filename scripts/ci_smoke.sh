@@ -31,9 +31,9 @@ WORK="$TMPDIR/ci_smoke.$$"
 mkdir -p "$WORK"
 trap 'rm -rf "$WORK"' EXIT
 
-SUITES="chaos obs fabric service recovery bench"
+SUITES="chaos obs fabric service perfbench recovery bench"
 if [ "$FAST" = "1" ]; then
-    SUITES="chaos obs fabric service"
+    SUITES="chaos obs fabric service perfbench"
     # Keep any suite that honours trial knobs cheap if re-enabled.
     RECOVERY_TRIALS=1
     export RECOVERY_TRIALS

@@ -146,16 +146,21 @@ def _copy_resources(
     )
 
 
-def _bulk_copy_flows(machine: Machine, src: int, dst: int, threads: int) -> list[Flow]:
+def _bulk_copy_flows(
+    machine: Machine, src: int, dst: int, threads: int,
+    hops: "tuple[int, ...] | None" = None,
+) -> list[Flow]:
     """The per-thread DMA-context flow list of one bulk copy src -> dst.
 
-    The max-min reference the closed form of :func:`bulk_copy_gbps_many`
-    is tested against: ``sum(session.rates(flows).values())`` is the
-    copy's aggregate bandwidth.
+    ``hops`` is the pair's DMA-plane route when the caller already has
+    it.  Max-min over this list is what the route-bottleneck shares of
+    :func:`bulk_copy_gbps_many` stand for, and what it solves when they
+    cannot decide: ``sum(session.rates(flows).values())`` is the copy's
+    aggregate bandwidth.
     """
     if threads < 1:
         raise BenchmarkError(f"need >= 1 copy thread, got {threads}")
-    resources = _copy_resources(machine, src, dst)
+    resources = _copy_resources(machine, src, dst, hops)
     return [
         Flow(
             name=f"copy/t{i}",
@@ -199,17 +204,15 @@ def bulk_copy_gbps_many(
     least capacity among the source controller, the sink controller
     (unless the copy is local) and the links of its DMA-plane route,
     read from the session's capacity map (:func:`_route_bottlenecks`).
-    That is the float :meth:`~repro.solver.session.SolverSession.equal_shares`
-    returns over :func:`_copy_resources`, the reference the whole call
-    goes through instead when a capacity is not positive and finite, a
-    resource is missing, a route revisits a node or the demand is not
-    positive, so those raise the reference's errors.  Either way the
-    batch is one stats phase with one solve per distinct pair; repeated
-    pairs reuse that total.  A total adds the per-thread share
-    ``threads`` times, as ``sum(rates.values())`` does over the copy's
-    flow list, so values equal max-min over that list.  Every pair is
-    routed before any is solved, as building all the flow lists first
-    would.
+    That is the float max-min gives every thread of the copy's flow
+    list (:func:`_bulk_copy_flows`), which the call solves instead,
+    one ``session.rates`` per distinct pair, when a capacity is not
+    positive and finite, a resource is missing, a route revisits a node
+    or the demand is not positive, so those raise max-min's errors.
+    Either way each distinct pair counts one solve; repeated pairs
+    reuse its total.  A total adds the per-thread share ``threads``
+    times, as ``sum(rates.values())`` does over the copy's flow list.
+    Every pair is routed before any is solved.
     """
     if threads < 1:
         raise BenchmarkError(f"need >= 1 copy thread, got {threads}")
@@ -225,19 +228,20 @@ def bulk_copy_gbps_many(
         _route_bottlenecks(machine, caps, distinct, routes) if demand > 0 else None
     )
     if bottlenecks is None:
-        shares = session.equal_shares(
-            [(_copy_resources(machine, src, dst, hops), demand, threads)
-             for (src, dst), hops in zip(distinct, routes)],
-            caps,
-        )
+        totals = {
+            (src, dst): sum(session.rates(
+                _bulk_copy_flows(machine, src, dst, threads, hops), caps
+            ).values())
+            for (src, dst), hops in zip(distinct, routes)
+        }
     else:
         demand = float(demand)
         with session.stats.phase("allocate"):
             shares = [min(demand, least / threads) for least in bottlenecks]
             session.stats.solves += len(shares)
-    totals = {
-        pair: sum([share] * threads) for pair, share in zip(distinct, shares)
-    }
+        totals = {
+            pair: sum([share] * threads) for pair, share in zip(distinct, shares)
+        }
     return [totals[pair] for pair in keys]
 
 
@@ -248,7 +252,8 @@ def _route_bottlenecks(machine: Machine, caps, pairs, routes) -> list[float] | N
     copy.  Capacities come from ``caps`` through a node / ``(a, b)``
     index built once per call.  Division by a positive thread count is
     monotone, so ``least / threads`` is the least of the per-resource
-    ``cap / threads`` that ``equal_shares`` takes.  ``None`` when an
+    ``cap / threads``, the rate max-min's first round gives every
+    thread.  ``None`` when an
     indexed capacity is missing or not positive and finite, a copy
     crosses a resource outside the index, or a route revisits a node
     (its links could repeat).

@@ -124,7 +124,7 @@ class JobResult:
 
     ``solver_stats`` is a cumulative snapshot of the executing engine's
     :class:`~repro.solver.stats.SolverStats` taken when the result was
-    produced (solve count, cache hit rate, events processed).
+    produced (solve count, events processed, per-phase wall time).
     """
 
     job_name: str

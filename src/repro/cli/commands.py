@@ -751,9 +751,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """``repro-numa stats``: solver-session instrumentation for a workload.
 
     Runs one representative workload through a fresh solver session and
-    prints what the session actually did — max-min solves, allocation
-    cache hit rate, simulation events, capacity builds, per-phase wall
-    time.  The numbers a contributor watches when touching the solver.
+    prints what the session actually did — max-min solves, simulation
+    events, capacity builds, path lookups, per-phase wall time.  The
+    numbers a contributor watches when touching the solver.
     """
     from repro.bench.fio import FioRunner
     from repro.bench.jobfile import FioJob

@@ -123,10 +123,16 @@ class OnlineWorkload:
         size_sigma: float = 0.35,
         write_fraction: float = 1.0,
     ) -> None:
-        if not rate_per_s > 0:
-            raise ModelError(f"workload rate must be positive, got {rate_per_s!r}")
-        if mean_size_bytes <= 0:
-            raise ModelError(f"workload size must be positive, got {mean_size_bytes!r}")
+        if not 0 < rate_per_s < math.inf:
+            raise ModelError(
+                "workload rate must be positive and finite, "
+                f"got rate_per_s={rate_per_s!r}"
+            )
+        if not 0 < mean_size_bytes < math.inf:
+            raise ModelError(
+                "workload size must be positive and finite, "
+                f"got mean_size_bytes={mean_size_bytes!r}"
+            )
         if not 0 <= write_fraction <= 1:
             raise ModelError("write_fraction must be in [0, 1]")
         if not 0 <= size_sigma < math.inf:
@@ -355,6 +361,11 @@ class OnlineSimulator:
         times = np.array(sorted(completions.values()))
         makespan = (max(end for _, end in finished)
                     - min(job.arrival_s for job, _ in finished))
+        if not makespan > 0:
+            raise SimulationError(
+                "makespan is 0 s: every stream finished at the instant it "
+                "arrived, so the run has no aggregate bandwidth"
+            )
         total_bytes = sum(float(job.size_bytes) for job, _ in finished)
         return PolicyOutcome(
             policy=policy,

@@ -36,7 +36,7 @@ from repro.memory.controller import dma_resource
 from repro.obs import recorder as _obs
 from repro.retrying import RetryPolicy
 from repro.solver.capacity import link_resource
-from repro.solver.incremental import AllocationCache
+from repro.solver.incremental import maxmin_rates
 
 __all__ = [
     "RetryPolicy",
@@ -70,10 +70,10 @@ class DegradedFlowRunner:
         The backoff policy for blocked flows.
     rerouter:
         Optional :data:`Rerouter`; see :func:`machine_rerouter`.
-    allocator:
-        Optional shared allocation cache (a session's, usually).
     stats:
-        Optional :class:`~repro.solver.stats.SolverStats` event counter.
+        Optional :class:`~repro.solver.stats.SolverStats` event counter
+        (each step's :func:`~repro.solver.incremental.maxmin_rates` solve
+        is not counted).
     """
 
     def __init__(
@@ -83,7 +83,6 @@ class DegradedFlowRunner:
         rng: np.random.Generator | None = None,
         retry: RetryPolicy | None = None,
         rerouter: Rerouter | None = None,
-        allocator: AllocationCache | None = None,
         stats=None,
     ) -> None:
         self.capacities = dict(capacities)
@@ -91,7 +90,6 @@ class DegradedFlowRunner:
         self.retry = retry if retry is not None else RetryPolicy()
         self.rerouter = rerouter
         self._rng = rng
-        self._alloc = allocator if allocator is not None else AllocationCache()
         self._stats = stats
 
     def simulate(self, flows: Iterable[Flow]) -> dict[str, FlowOutcome]:
@@ -128,7 +126,7 @@ class DegradedFlowRunner:
             else:
                 loop.park(name, now + self.retry.delay_s(retries, self._rng))
                 _obs.count("faults.retries")
-        return self._alloc.rates(loop.active.values(), caps), self.plan.next_boundary(now)
+        return maxmin_rates(loop.active.values(), caps), self.plan.next_boundary(now)
 
 
 def reroute_resources(

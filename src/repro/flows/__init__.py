@@ -5,14 +5,18 @@ sharing a memory controller, DMA traffic sharing an HT link — reduces to
 *max-min fair* sharing of capacitated resources, the standard flow-level
 abstraction for long-lived bulk transfers.
 
-:func:`~repro.flows.maxmin.maxmin_allocate` solves one allocation;
+:func:`~repro.flows.maxmin.maxmin_allocate` solves one allocation (the
+reference that :func:`~repro.solver.incremental.maxmin_rates`, the
+solve every product path uses, is tested against);
 :class:`~repro.flows.network.FlowNetwork` advances a set of finite-size
 flows through time, recomputing the allocation at every arrival or
 completion, and reports per-flow completion times and average bandwidth
 — exactly the quantity ``fio`` reports for the paper's 400-GB streams.
-It runs on :class:`~repro.flows.network.FlowLoop`, the one event loop
-that the fault runner and the online simulator share too, each with its
-own step hook; every run reports :class:`~repro.flows.network.FlowOutcome`.
+It runs on :class:`~repro.flows.network.FlowLoop`, the event loop that
+the fault runner shares with its own step hook; every run reports
+:class:`~repro.flows.network.FlowOutcome`.  The fio engine's size-based
+jobs (:func:`~repro.flows.network.shared_finish`) and the online
+simulator run the same arithmetic as list loops of their own.
 """
 
 from repro.flows.flow import Flow

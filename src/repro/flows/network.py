@@ -15,16 +15,15 @@ rates on fixed capacities) and
 fault-derated capacities, with blocked flows re-routed, parked or
 failed).  :class:`~repro.core.migration.OnlineSimulator`, whose every
 step is one shared device resource, runs the same arithmetic as its own
-list loop.
+list loop, not on :class:`FlowLoop`.
 
 :class:`FlowNetwork` rates come from one of two hooks, chosen once per
 ``simulate`` call.  When every flow crosses the same single resource
 at weight 1 (the fio engines' ``dev:<device>:<direction>``), each step
 is one :func:`~repro.solver.incremental.water_fill` sweep over the
-active demands.  Any other problem allocates through an
-:class:`~repro.solver.incremental.AllocationCache`, so the loop only
-solves cold when the active-flow *multiset* is one it has not seen.
-Both give the same floats.
+active demands.  Any other problem takes one cold
+:func:`~repro.solver.incremental.maxmin_rates` solve per step.  Both
+give the same floats.
 
 :func:`shared_finish` is the first of those cases for flows that also
 start together with one size, the fio engine's size-based job: the
@@ -41,7 +40,7 @@ from typing import Callable, Iterable, Mapping
 
 from repro.errors import SimulationError
 from repro.flows.flow import Flow
-from repro.solver.incremental import AllocationCache, water_fill
+from repro.solver.incremental import maxmin_rates, water_fill
 from repro.units import gbps, gbps_to_bytes_per_s
 
 __all__ = ["FlowOutcome", "FlowLoop", "FlowNetwork", "shared_finish"]
@@ -330,30 +329,18 @@ class FlowNetwork:
     ----------
     capacities:
         Resource name -> capacity in Gbps.
-    allocator:
-        Optional shared :class:`~repro.solver.incremental.AllocationCache`
-        (a :class:`~repro.solver.session.SolverSession` passes its own so
-        every network it hands out shares one memo).  By default each
-        network owns a private cache, which already collapses the
-        repeated solves of a ``simulate`` event loop.
     stats:
-        Optional :class:`~repro.solver.stats.SolverStats` that simulation
-        events are counted into.
+        Optional :class:`~repro.solver.stats.SolverStats` that solves and
+        simulation events are counted into.
     """
 
-    def __init__(
-        self,
-        capacities: dict[str, float],
-        allocator: AllocationCache | None = None,
-        stats=None,
-    ) -> None:
+    def __init__(self, capacities: dict[str, float], stats=None) -> None:
         self.capacities = dict(capacities)
-        self._allocator = allocator if allocator is not None else AllocationCache()
         self._stats = stats
 
     def rates(self, flows: Iterable[Flow]) -> dict[str, float]:
         """Instantaneous max-min rates for a set of concurrent flows."""
-        return self._allocator.rates(flows, self.capacities)
+        return maxmin_rates(flows, self.capacities, self._stats)
 
     def simulate(self, flows: Iterable[Flow]) -> dict[str, FlowOutcome]:
         """Run finite flows to completion; outcomes in finish order.
@@ -362,20 +349,20 @@ class FlowNetwork:
         times come from ``flow.start_s``.  When every flow crosses the
         same single resource at weight 1, and that resource has a
         positive capacity, each step is one
-        :func:`~repro.solver.incremental.water_fill` sweep (one
-        ``solves`` in the allocator's stats, no cache lookup); any other
-        problem goes through the allocation cache.
+        :func:`~repro.solver.incremental.water_fill` sweep; any other
+        problem takes one :func:`~repro.solver.incremental.maxmin_rates`
+        solve per step.  Either way a step with a running flow counts
+        one ``solves``.
         """
         flows = list(flows)
-        allocator, capacities = self._allocator, self.capacities
+        capacities, stats = self.capacities, self._stats
         resource = _shared_resource(flows, capacities)
         if resource is None:
             def step(loop: FlowLoop):
-                return allocator.rates(loop.active.values(), capacities), None
+                return maxmin_rates(loop.active.values(), capacities, stats), None
         else:
             capacity = capacities[resource]
             demand = {f.name: f.demand_gbps for f in flows}
-            stats = allocator.stats
 
             def step(loop: FlowLoop):
                 active = loop.active
@@ -384,7 +371,7 @@ class FlowNetwork:
                 rates = water_fill([demand[name] for name in active], capacity)
                 return dict(zip(active, rates)), None
 
-        return FlowLoop(flows, step, self._stats).run()
+        return FlowLoop(flows, step, stats).run()
 
     def aggregate_gbps(self, outcomes: dict[str, FlowOutcome]) -> float:
         """Aggregate average bandwidth: total bytes over the busy interval.
@@ -404,8 +391,8 @@ def _shared_resource(flows: list[Flow], capacities: Mapping[str, float]) -> str 
     """The one resource every flow crosses alone at weight 1, if any.
 
     ``None`` unless that resource is in ``capacities`` with a positive
-    capacity, so every input the allocation cache would reject keeps
-    the cache's checks and messages.
+    capacity, so every input :func:`~repro.solver.incremental.maxmin_rates`
+    would reject keeps its checks and messages.
     """
     resource = None
     for f in flows:

@@ -3,7 +3,8 @@
 :class:`SolverStats` predates :mod:`repro.obs` and remains the live
 counter surface on every
 :class:`~repro.solver.session.SolverSession` (and any stand-alone
-:class:`~repro.solver.incremental.AllocationCache` handed one).  It is
+:class:`~repro.flows.network.FlowNetwork` or
+:func:`~repro.solver.incremental.maxmin_rates` call handed one).  It is
 *not* a parallel telemetry mechanism:
 
 * :meth:`SolverStats.phase` emits an obs span (``solver.capacity`` /
@@ -31,8 +32,6 @@ __all__ = ["SolverStats", "solver_totals"]
 #: The integer counters folded into run manifests as ``solver.<name>``.
 COUNTER_FIELDS = (
     "solves",
-    "cache_hits",
-    "cache_misses",
     "events",
     "capacity_builds",
     "capacity_hits",
@@ -48,13 +47,10 @@ class SolverStats:
     Attributes
     ----------
     solves:
-        Cold max-min solves actually executed: cache misses, closed-form
-        ``equal_shares`` problems and one-resource ``water_fill``
-        sweeps.  The last two make no cache lookup, so a run whose
-        problems all cross one resource (``repro-numa stats --workload
-        fio --target 0``) counts solves with ``0/0`` hits/misses.
-    cache_hits / cache_misses:
-        Allocation-cache lookups served from memory vs solved cold.
+        Max-min problems solved, each one cold:
+        :func:`~repro.solver.incremental.maxmin_rates` calls with at
+        least one flow, one-resource ``water_fill`` sweeps and
+        route-bottleneck bulk-copy shares (one per distinct pair).
     events:
         Steps of the piecewise-constant event loop
         (:class:`repro.flows.network.FlowLoop`), idle jumps included,
@@ -73,25 +69,12 @@ class SolverStats:
     """
 
     solves: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     events: int = 0
     capacity_builds: int = 0
     capacity_hits: int = 0
     path_hits: int = 0
     path_misses: int = 0
     phase_wall_s: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def lookups(self) -> int:
-        """Total allocation-cache lookups."""
-        return self.cache_hits + self.cache_misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of allocation lookups served from the cache."""
-        lookups = self.lookups
-        return self.cache_hits / lookups if lookups else 0.0
 
     @contextmanager
     def phase(self, name: str):
@@ -112,8 +95,6 @@ class SolverStats:
     def reset(self) -> None:
         """Zero every counter (the session keeps its caches)."""
         self.solves = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.events = 0
         self.capacity_builds = 0
         self.capacity_hits = 0
@@ -125,9 +106,6 @@ class SolverStats:
         """A plain-dict copy suitable for result objects / JSON."""
         return {
             "solves": self.solves,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "hit_rate": self.hit_rate,
             "events": self.events,
             "capacity_builds": self.capacity_builds,
             "capacity_hits": self.capacity_hits,
@@ -141,8 +119,6 @@ class SolverStats:
         lines = [
             "solver session stats",
             f"  max-min solves     {self.solves}",
-            f"  cache hits/misses  {self.cache_hits}/{self.cache_misses} "
-            f"(hit rate {self.hit_rate:.1%})",
             f"  events processed   {self.events}",
             f"  capacity builds    {self.capacity_builds} "
             f"(+{self.capacity_hits} cached reuses)",

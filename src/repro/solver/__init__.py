@@ -1,4 +1,4 @@
-"""Shared solver layer: cached capacities, memoized max-min, stats.
+"""Shared solver layer: cached capacities, cold max-min solves, stats.
 
 Every bandwidth figure the library produces bottoms out in the same hot
 path — build a capacity map, route flows, solve a max-min allocation,
@@ -8,20 +8,18 @@ once for everyone:
 * a **capacity cache** keyed by a machine-topology fingerprint (a new
   machine from :mod:`repro.topology.modify` gets a new fingerprint, so
   what-if copies never see stale capacities);
-* an **incremental max-min solver**
-  (:class:`~repro.solver.incremental.AllocationCache`) that memoizes
-  allocations by the active-flow *multiset* and solves cold cases with a
-  scalar water-filling loop over signature groups (bit-identical to an
-  array formulation on weight-1 problems, within 1e-9 of
-  :func:`~repro.flows.maxmin.maxmin_allocate` on any), plus a closed
-  form for problems that are one group of identical flows
-  (:meth:`~repro.solver.session.SolverSession.equal_shares`) and a
-  sweep for weight-1 flows sharing one resource
-  (:func:`~repro.solver.incremental.water_fill`, the same floats as the
-  cold solve without a cache lookup);
+* one **max-min solve** (:func:`~repro.solver.incremental.maxmin_rates`)
+  that validates a flow list and solves it cold with a scalar
+  water-filling loop over signature groups (bit-identical to an array
+  formulation on weight-1 problems, within 1e-9 of
+  :func:`~repro.flows.maxmin.maxmin_allocate` on any), plus a sweep for
+  weight-1 flows sharing one resource
+  (:func:`~repro.solver.incremental.water_fill`, the same floats
+  without flows);
 * a **stats surface** (:class:`~repro.solver.stats.SolverStats`)
-  counting solves, cache hits/misses, simulation events and per-phase
-  wall time, exposed on engine results and via ``repro-numa stats``.
+  counting solves, simulation events, capacity builds, path lookups
+  and per-phase wall time, exposed on engine results and via
+  ``repro-numa stats``.
 
 Attribute access is lazy (PEP 562) so low-level modules — notably
 :mod:`repro.flows.network` — can import :mod:`repro.solver.incremental`
@@ -34,7 +32,7 @@ from __future__ import annotations
 __all__ = [
     "SolverSession",
     "SolverStats",
-    "AllocationCache",
+    "maxmin_rates",
     "water_fill",
     "get_session",
     "reset_sessions",
@@ -49,7 +47,7 @@ _LAZY = {
     "get_session": ("repro.solver.session", "get_session"),
     "reset_sessions": ("repro.solver.session", "reset_sessions"),
     "SolverStats": ("repro.solver.stats", "SolverStats"),
-    "AllocationCache": ("repro.solver.incremental", "AllocationCache"),
+    "maxmin_rates": ("repro.solver.incremental", "maxmin_rates"),
     "water_fill": ("repro.solver.incremental", "water_fill"),
     "build_capacities": ("repro.solver.capacity", "build_capacities"),
     "machine_fingerprint": ("repro.solver.capacity", "machine_fingerprint"),

@@ -1,25 +1,19 @@
-"""Memoized max-min allocation over signature groups.
+"""Cold max-min allocation over signature groups.
 
-Two observations make the simulation hot path cheap:
-
-1. **Flows with equal signatures get equal rates.**  Progressive filling
-   treats two flows identically when they share (resource set, demand,
-   weight); only the multiset of signatures matters.  Cold solves
-   therefore run over *signature groups* — 16 identical copy threads are
-   one group — with a scalar water-filling loop.  The problems posed are
-   small (a device shared by 1–16 streams), where plain float arithmetic
-   is several times cheaper than array dispatch.
-2. **Active sets recur.**  A piecewise-constant simulation revisits the
-   same active multiset over and over (staggered identical flows cycle
-   through the same population counts), and characterization sweeps
-   re-pose the same allocation problem per sample.  Results are memoized
-   by (signature multiset, used-capacity items) in an LRU map.
+Flows with equal signatures get equal rates.  Progressive filling
+treats two flows identically when they share (resource set, demand,
+weight); only the multiset of signatures matters.  :func:`maxmin_rates`
+therefore solves over *signature groups* (16 identical copy threads are
+one group) with a scalar water-filling loop, :func:`_solve_groups`.  The
+problems posed are small (a device shared by 1–16 streams, a copy's
+threads on one DMA route), where plain float arithmetic is several
+times cheaper than array dispatch.
 
 Most problems the library poses are n weight-1 streams sharing one
 device.  There every active group holds the same rate, so the rounds
 collapse to a sweep over the sorted demands: :func:`water_fill` runs it
-with the same IEEE operations as the cold solve, without flows,
-signatures or a memo key, and is cheaper than a cache hit.
+with the same IEEE operations as the group solve, without flows or
+signatures.
 
 The semantics are those of :func:`repro.flows.maxmin.maxmin_allocate`:
 the property suite asserts agreement within 1e-9 on any problem, and
@@ -35,121 +29,65 @@ without cycles.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import SimulationError
 
-__all__ = ["AllocationCache", "flow_signature", "water_fill"]
+__all__ = ["maxmin_rates", "water_fill"]
 
 _EPS = 1e-12
 
 
-_SIGNATURE_ATTR = "_solver_signature"
+def maxmin_rates(
+    flows: Iterable, capacities: Mapping[str, float], stats=None
+) -> dict[str, float]:
+    """Weighted max-min rates, same contract as ``maxmin_allocate``.
 
-
-def flow_signature(flow) -> tuple:
-    """Canonical allocation identity of a flow.
-
-    Two flows with equal signatures are interchangeable to the max-min
-    solver and always receive identical rates, so caches key on the
-    multiset of signatures rather than on flow names.  Flows are records
-    (never mutated after construction), so the signature is cached on
-    the flow object — a simulation touching the same flow at every event
-    pays the sort once.
+    Rejects, in this order, duplicate flow names, a resource missing
+    from ``capacities``, a used resource whose capacity is not positive
+    and an elastic flow that crosses no resource, each with a
+    :class:`~repro.errors.SimulationError`.  Then one cold
+    :func:`_solve_groups`; ``stats`` (a
+    :class:`~repro.solver.stats.SolverStats`) counts one ``solves`` per
+    call that has at least one flow.
     """
-    sig = getattr(flow, _SIGNATURE_ATTR, None)
-    if sig is None:
-        sig = (
-            tuple(sorted(flow.resources)),
-            float(flow.demand_gbps),
-            float(flow.weight),
+    flow_list = list(flows)
+    names = [f.name for f in flow_list]
+    if len(set(names)) != len(names):
+        raise SimulationError(f"duplicate flow names in allocation: {sorted(names)}")
+    for f in flow_list:
+        for r in f.resources:
+            if r not in capacities:
+                raise SimulationError(
+                    f"flow {f.name!r} uses unknown resource {r!r}"
+                )
+    used = sorted({r for f in flow_list for r in f.resources})
+    for r in used:
+        if capacities[r] <= 0:
+            raise SimulationError(f"resource {r!r} has non-positive capacity")
+    unbounded = sorted(
+        f.name
+        for f in flow_list
+        if not f.resources and math.isinf(f.demand_gbps)
+    )
+    if unbounded:
+        raise SimulationError(
+            "unbounded allocation: elastic flow(s) traverse no resources: "
+            f"{unbounded}"
         )
-        try:
-            setattr(flow, _SIGNATURE_ATTR, sig)
-        except AttributeError:  # pragma: no cover - slotted flow types
-            pass
-    return sig
+    if not flow_list:
+        return {}
 
-
-class AllocationCache:
-    """Max-min fair rates with multiset memoization.
-
-    Parameters
-    ----------
-    maxsize:
-        LRU bound on memoized allocation problems.
-    stats:
-        Optional :class:`~repro.solver.stats.SolverStats` to count
-        solves and cache hits/misses into.
-    """
-
-    def __init__(self, maxsize: int = 4096, stats=None) -> None:
-        if maxsize < 1:
-            raise SimulationError(f"cache maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self.stats = stats
-        self._memo: OrderedDict[tuple, dict] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-    def clear(self) -> None:
-        """Drop every memoized allocation."""
-        self._memo.clear()
-
-    def rates(
-        self, flows: Iterable, capacities: Mapping[str, float]
-    ) -> dict[str, float]:
-        """Weighted max-min rates, same contract as ``maxmin_allocate``."""
-        flow_list = list(flows)
-        names = [f.name for f in flow_list]
-        if len(set(names)) != len(names):
-            raise SimulationError(f"duplicate flow names in allocation: {sorted(names)}")
-        for f in flow_list:
-            for r in f.resources:
-                if r not in capacities:
-                    raise SimulationError(
-                        f"flow {f.name!r} uses unknown resource {r!r}"
-                    )
-        used = sorted({r for f in flow_list for r in f.resources})
-        for r in used:
-            if capacities[r] <= 0:
-                raise SimulationError(f"resource {r!r} has non-positive capacity")
-        unbounded = sorted(
-            f.name
-            for f in flow_list
-            if not f.resources and math.isinf(f.demand_gbps)
-        )
-        if unbounded:
-            raise SimulationError(
-                "unbounded allocation: elastic flow(s) traverse no resources: "
-                f"{unbounded}"
-            )
-        if not flow_list:
-            return {}
-
-        signatures = [flow_signature(f) for f in flow_list]
-        key = (
-            tuple(sorted(signatures)),
-            tuple((r, float(capacities[r])) for r in used),
-        )
-        per_signature = self._memo.get(key)
-        if per_signature is not None:
-            self._memo.move_to_end(key)
-            if self.stats is not None:
-                self.stats.cache_hits += 1
-        else:
-            if self.stats is not None:
-                self.stats.cache_misses += 1
-                self.stats.solves += 1
-            per_signature = _solve_groups(
-                signatures, {r: float(capacities[r]) for r in used}
-            )
-            self._memo[key] = per_signature
-            while len(self._memo) > self.maxsize:
-                self._memo.popitem(last=False)
-        return {f.name: per_signature[sig] for f, sig in zip(flow_list, signatures)}
+    if stats is not None:
+        stats.solves += 1
+    signatures = [
+        (tuple(sorted(f.resources)), float(f.demand_gbps), float(f.weight))
+        for f in flow_list
+    ]
+    per_signature = _solve_groups(
+        signatures, {r: float(capacities[r]) for r in used}
+    )
+    return {f.name: per_signature[sig] for f, sig in zip(flow_list, signatures)}
 
 
 def _solve_groups(
@@ -199,7 +137,7 @@ def _solve_groups(
             [remaining[r] / load[r] for r in loaded]
             + [(demands[g] - rates[g]) / weights[g] for g in active]
         )
-        if math.isinf(increment):  # pragma: no cover - pre-validated in rates()
+        if math.isinf(increment):  # pragma: no cover - pre-validated in maxmin_rates()
             raise SimulationError(
                 "unbounded allocation: elastic flow(s) traverse no resources"
             )
@@ -241,8 +179,8 @@ def water_fill(demands: Sequence[float], capacity: float) -> list[float]:
     demand cannot be sorted, so such a problem goes to
     :func:`_solve_groups` itself.
 
-    The caller validates the problem as :meth:`AllocationCache.rates`
-    would (positive capacity, positive demands).
+    The caller validates the problem as :func:`maxmin_rates` would
+    (positive capacity, positive demands).
     """
     ordered = sorted(demands)
     total = sum(ordered)

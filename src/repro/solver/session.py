@@ -5,9 +5,10 @@ A session binds together, for one machine topology:
 * the **capacity map** (controllers + DMA links), built once and served
   from cache until the topology changes (a modified machine has a new
   fingerprint, hence a new session — see :func:`get_session`);
-* the **allocation cache** shared by every flow network the session
-  hands out, so repeated max-min problems (simulation event loops,
-  characterization sweeps, benchmark rounds) are solved once;
+* the **max-min allocation** behind every flow network the session
+  hands out: each problem is one cold
+  :func:`~repro.solver.incremental.maxmin_rates` solve, counted in the
+  session's stats;
 * memoized **path bandwidth** lookups (``dma_path_gbps`` /
   ``pio_stream_gbps``), the per-placement inner loop of every service
   model, kept under the routing revision they were computed at: after
@@ -16,21 +17,19 @@ A session binds together, for one machine topology:
 * the **stats** recording what all of the above actually did.
 
 Sessions can also be machine-less (``SolverSession()``): cluster-level
-runners that assemble ad-hoc capacity maps still get the shared
-allocation cache and instrumentation, just no machine-derived
-capacities.
+runners that assemble ad-hoc capacity maps still get the solver and
+its instrumentation, just no machine-derived capacities.
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from typing import Iterable, Mapping
 
 from repro.errors import SimulationError
 from repro.flows.network import FlowNetwork, FlowOutcome
 from repro.solver.capacity import build_capacities, machine_fingerprint
-from repro.solver.incremental import AllocationCache
+from repro.solver.incremental import maxmin_rates
 from repro.solver.stats import SolverStats
 
 __all__ = ["SolverSession", "get_session", "reset_sessions"]
@@ -48,15 +47,12 @@ class SolverSession:
     ----------
     machine:
         The host this session serves, or ``None`` for an ad-hoc session
-        (shared cache + stats over caller-supplied capacity maps).
-    cache_size:
-        LRU bound on memoized allocation problems.
+        (the solver + stats over caller-supplied capacity maps).
     """
 
-    def __init__(self, machine=None, cache_size: int = 4096) -> None:
+    def __init__(self, machine=None) -> None:
         self.machine = machine
         self.stats = SolverStats()
-        self._alloc = AllocationCache(maxsize=cache_size, stats=self.stats)
         self._capacities: dict[str, float] | None = None
         self._dma_paths: dict[tuple[int, int], float] = {}
         self._pio_streams: dict[tuple[int, int, int | None], float] = {}
@@ -91,49 +87,23 @@ class SolverSession:
     def rates(
         self, flows: Iterable, capacities: Mapping[str, float] | None = None
     ) -> dict[str, float]:
-        """Instantaneous max-min rates through the session's cache.
+        """Instantaneous max-min rates: one cold solve, one ``allocate`` phase.
 
         ``capacities`` defaults to the machine's fabric map.
         """
         caps = capacities if capacities is not None else self._fabric_capacities()
         with self.stats.phase("allocate"):
-            return self._alloc.rates(flows, caps)
-
-    def equal_shares(
-        self,
-        problems: Iterable[tuple[Iterable[str], float, int]],
-        capacities: Mapping[str, float] | None = None,
-    ) -> list[float]:
-        """Per-flow rates of single-signature problems, in closed form.
-
-        Each problem is ``(resources, demand_gbps, count)``: ``count``
-        weight-1 flows that all cross ``resources`` and each want at
-        most ``demand_gbps`` (the m copy threads of one Algorithm 1
-        probe).  Such a problem is one signature group, so water-filling
-        settles it in one round at ``min(demand, min_r cap_r / count)``
-        — the float :meth:`rates` returns for every flow of the
-        equivalent flow list, computed here without flows or the
-        allocation cache.  The whole batch is one ``allocate`` phase and
-        each problem counts one cold solve.  Results are in problem
-        order.
-        """
-        caps = capacities if capacities is not None else self._fabric_capacities()
-        shares = []
-        with self.stats.phase("allocate"):
-            for resources, demand_gbps, count in problems:
-                shares.append(_equal_share(tuple(resources), demand_gbps, count, caps))
-                self.stats.solves += 1
-        return shares
+            return maxmin_rates(flows, caps, self.stats)
 
     def network(self, capacities: Mapping[str, float] | None = None) -> FlowNetwork:
-        """A :class:`FlowNetwork` sharing this session's cache and stats."""
+        """A :class:`FlowNetwork` counting into this session's stats."""
         caps = capacities if capacities is not None else self._fabric_capacities()
-        return FlowNetwork(caps, allocator=self._alloc, stats=self.stats)
+        return FlowNetwork(caps, stats=self.stats)
 
     def simulate(
         self, flows: Iterable, capacities: Mapping[str, float] | None = None
     ) -> dict[str, FlowOutcome]:
-        """Time-domain simulation through the session's cache."""
+        """Time-domain simulation on :meth:`network`, one ``simulate`` phase."""
         network = self.network(capacities)
         with self.stats.phase("simulate"):
             return network.simulate(flows)
@@ -178,61 +148,19 @@ class SolverSession:
 
     # --- lifecycle --------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop every cached answer (capacities, allocations, paths).
+        """Drop every cached answer (capacities, paths).
 
         Also called on LRU eviction from the session registry and by
         :func:`reset_sessions`, so a caller still holding a dropped
         session gets cold answers from it, never warm ones.
         """
         self._capacities = None
-        self._alloc.clear()
         self._dma_paths.clear()
         self._pio_streams.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         name = self.machine.name if self.machine is not None else "<ad-hoc>"
-        return (
-            f"SolverSession({name!r}, solves={self.stats.solves}, "
-            f"hit_rate={self.stats.hit_rate:.1%})"
-        )
-
-
-def _equal_share(
-    resources: tuple[str, ...],
-    demand_gbps: float,
-    count: int,
-    capacities: Mapping[str, float],
-) -> float:
-    """The rate water-filling gives each of ``count`` identical flows.
-
-    The one-group case of the allocation cache's cold solve: every
-    flow loads each of its resources equally, so the first round raises
-    them all by ``min_r cap_r / count`` or to their demand, whichever is
-    lower, and freezes the group.  Validates what
-    :class:`~repro.flows.flow.Flow` and
-    :meth:`~repro.solver.incremental.AllocationCache.rates` validate, in
-    the same order.
-    """
-    if count < 1:
-        raise SimulationError(f"need >= 1 flow per problem, got {count}")
-    if demand_gbps <= 0:
-        raise SimulationError("flow demand must be positive")
-    if len(set(resources)) != len(resources):
-        raise SimulationError(f"resources {resources} list a resource twice")
-    for r in resources:
-        if r not in capacities:
-            raise SimulationError(f"unknown resource {r!r}")
-    for r in sorted(resources):
-        if capacities[r] <= 0:
-            raise SimulationError(f"resource {r!r} has non-positive capacity")
-    if not resources and math.isinf(demand_gbps):
-        raise SimulationError(
-            "unbounded allocation: elastic flow(s) traverse no resources"
-        )
-    share = float(demand_gbps)
-    for r in resources:
-        share = min(share, float(capacities[r]) / count)
-    return share
+        return f"SolverSession({name!r}, solves={self.stats.solves})"
 
 
 def get_session(machine) -> SolverSession:

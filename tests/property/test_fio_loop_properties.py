@@ -35,7 +35,6 @@ from repro.flows.network import FlowNetwork, shared_finish
 from repro.obs.stats import SolverStats
 from repro.osmodel.noise import NoiseModel
 from repro.rng import RngRegistry
-from repro.solver.incremental import AllocationCache
 from repro.solver.session import SolverSession
 from repro.topology.builders import reference_host
 from repro.units import GB, KiB
@@ -263,9 +262,7 @@ def shared_problems(draw):
 
 def _network_outcome(names, demands, size, capacity):
     stats = SolverStats()
-    network = FlowNetwork(
-        {"dev": capacity}, allocator=AllocationCache(stats=stats), stats=stats
-    )
+    network = FlowNetwork({"dev": capacity}, stats=stats)
     try:
         outcomes = network.simulate([
             Flow(name, ("dev",), demand_gbps=demand, size_bytes=size)

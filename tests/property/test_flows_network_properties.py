@@ -1,30 +1,47 @@
 """Property-based tests for the time-domain flow simulation.
 
-:class:`~repro.flows.network.FlowLoop` is the one event loop behind
-``FlowNetwork.simulate``, the fault runner and the online simulator.
-``FlowNetwork.simulate`` and an empty-plan ``DegradedFlowRunner`` must
-stay bit-identical to the stand-alone loop ``FlowNetwork.simulate`` ran
-before the loops merged, frozen below as the reference: the same
-outcomes in the same (finish) order, equal by ``float.hex``, after the
-same number of events.  The reference always allocates through the
-cache, so the half of the drawn problems that put every flow on one
-resource hold ``FlowNetwork.simulate``'s one-resource sweep to it.
+:class:`~repro.flows.network.FlowLoop` is the event loop behind
+``FlowNetwork.simulate`` and the fault runner.  ``FlowNetwork.simulate``
+and an empty-plan ``DegradedFlowRunner`` must stay bit-identical to the
+stand-alone loop ``FlowNetwork.simulate`` ran before the loops merged,
+frozen below as the reference with the allocation memo it went through
+(:mod:`tests.property.frozen_allocation`): the same outcomes in the
+same (finish) order, equal by ``float.hex``, after the same number of
+events.  ``FlowNetwork.simulate`` counts one ``solves`` per step with a
+running flow, the memo's hits and misses together; the fault runner
+counts none.  The half of the drawn problems that put every flow on one
+resource hold ``FlowNetwork.simulate``'s one-resource sweep to the
+reference too.  Under random fault plans, the fault runner must match
+its own step as it was, frozen below with the memo.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
-from repro.faults.degraded import DegradedFlowRunner
+from repro.errors import ReproError, SimulationError
+from repro.faults import LinkDegrade, LinkFail, MemoryThrottle
+from repro.faults.degraded import (
+    _DEAD_EPS,
+    DegradedFlowRunner,
+    machine_rerouter,
+    reroute_resources,
+)
+from repro.faults.events import FaultEvent
+from repro.faults.plan import FaultPlan
 from repro.flows.flow import Flow
-from repro.flows.network import FlowNetwork, FlowOutcome
+from repro.flows.network import FlowLoop, FlowNetwork, FlowOutcome
+from repro.obs import recorder as _obs
 from repro.obs.stats import SolverStats
-from repro.solver.incremental import AllocationCache
+from repro.retrying import RetryPolicy
+from repro.solver.capacity import build_capacities, link_resource
+from repro.topology.builders import reference_host
 from repro.units import GB, gbps_to_bytes_per_s
+from tests.property.frozen_allocation import AllocationCache
 
 
 @st.composite
@@ -148,8 +165,8 @@ def timed_problems(draw):
 
     Half the problems put every flow on ``r0`` alone, the shape
     ``FlowNetwork.simulate`` solves with its one-resource sweep; the
-    rest draw resource subsets and go through the allocation cache
-    unless they happen to land on one resource too.
+    rest draw resource subsets and take ``maxmin_rates`` unless they
+    happen to land on one resource too.
     """
     one_resource = draw(st.booleans())
     n_resources = 1 if one_resource else draw(st.integers(min_value=1, max_value=3))
@@ -193,9 +210,12 @@ def _hex(outcomes):
 
 
 def _reference(flows, caps):
+    """Outcomes, events and the steps that had a running flow (one memo
+    lookup each: its hits plus its misses, which count ``solves``)."""
     stats = SolverStats()
-    outcomes = _reference_simulate(AllocationCache(), dict(caps), stats, flows)
-    return _hex(outcomes), stats.events
+    memo = AllocationCache(stats=stats)
+    outcomes = _reference_simulate(memo, dict(caps), stats, flows)
+    return _hex(outcomes), stats.events, memo.hits + stats.solves
 
 
 #: The clock reaches f1's arrival one ulp (7e-15 s) short.  The loop's
@@ -219,7 +239,7 @@ def test_simulate_matches_frozen_loop(problem):
     flows, caps = problem
     stats = SolverStats()
     outcomes = FlowNetwork(caps, stats=stats).simulate(flows)
-    assert (_hex(outcomes), stats.events) == _reference(flows, caps)
+    assert (_hex(outcomes), stats.events, stats.solves) == _reference(flows, caps)
 
 
 @given(timed_problems())
@@ -229,4 +249,114 @@ def test_empty_plan_runner_matches_frozen_loop(problem):
     flows, caps = problem
     stats = SolverStats()
     outcomes = DegradedFlowRunner(caps, stats=stats).simulate(flows)
-    assert (_hex(outcomes), stats.events) == _reference(flows, caps)
+    hexed, events, _steps = _reference(flows, caps)
+    assert (_hex(outcomes), stats.events, stats.solves) == (hexed, events, 0)
+
+
+class _FrozenRunner(DegradedFlowRunner):
+    """``DegradedFlowRunner`` with its step as it was: rates through a
+    private allocation memo."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._alloc = AllocationCache()
+
+    def _step(self, loop: FlowLoop):
+        """Capacities at ``loop.now``; blocked flows re-route, park or fail."""
+        now = loop.now
+        caps = self.plan.scaled_capacities(self.capacities, now)
+        for name, flow in list(loop.active.items()):
+            dead = tuple(r for r in flow.resources if caps.get(r, 0.0) <= _DEAD_EPS)
+            if not dead:
+                continue
+            if self.rerouter is not None:
+                alternative = self.rerouter(name, dead, now)
+                if alternative is not None and not any(
+                    caps.get(r, 0.0) <= _DEAD_EPS for r in alternative
+                ):
+                    loop.reroute(name, alternative)
+                    _obs.count("faults.reroutes")
+                    continue
+            retries = loop.retries.get(name, 0)
+            if retries >= self.retry.max_retries:
+                loop.fail(
+                    name,
+                    f"resources {sorted(dead)} unavailable after {retries} retries",
+                )
+                _obs.count("faults.flows_failed")
+            else:
+                loop.park(name, now + self.retry.delay_s(retries, self._rng))
+                _obs.count("faults.retries")
+        return self._alloc.rates(loop.active.values(), caps), self.plan.next_boundary(now)
+
+
+_HOST = reference_host(with_devices=False)
+_HOST_CAPS = build_capacities(_HOST)
+
+
+@st.composite
+def faulted_runs(draw):
+    """DMA fan-in copies on the reference host under a timed fault plan.
+
+    Each source node sends 1-2 copies to the target; links degrade or
+    fail and controllers throttle inside the transfers' lifetime, with
+    or without recovery, so flows re-route, park, recover or fail.
+    """
+    target = draw(st.sampled_from(_HOST.node_ids))
+    sources = draw(st.sets(
+        st.sampled_from([n for n in _HOST.node_ids if n != target]), min_size=1
+    ))
+    flows, endpoints = [], {}
+    for src in sorted(sources):
+        resources = reroute_resources(_HOST, src, target)
+        for i in range(draw(st.integers(min_value=1, max_value=2))):
+            name = f"dma/{src}>{target}/{i}"
+            flows.append(Flow(
+                name=name, resources=resources,
+                demand_gbps=_HOST.params.dma_per_thread_gbps,
+                size_bytes=draw(st.floats(min_value=0.5, max_value=4.0)) * GB,
+                start_s=draw(st.sampled_from([0.0, 0.0, 0.1, 0.35])),
+            ))
+            endpoints[name] = (src, target)
+    # Most faults hit a link some copy crosses.
+    crossed = sorted({ends for f in flows for ends in _HOST.links
+                      if link_resource(*ends) in f.resources})
+    links = st.sampled_from(crossed or sorted(_HOST.links))
+    factors = st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
+    faults = st.one_of(
+        links.map(lambda ends: LinkFail(a=ends[0], b=ends[1])),
+        st.builds(lambda ends, factor: LinkDegrade(src=ends[0], dst=ends[1],
+                                                   factor=factor), links, factors),
+        st.builds(MemoryThrottle, node=st.sampled_from(_HOST.node_ids), factor=factors),
+    )
+    events = []
+    for fault in draw(st.lists(faults, max_size=5)):
+        at_s = draw(st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
+        until = draw(st.one_of(
+            st.none(), st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
+        ))
+        events.append(FaultEvent(
+            fault, at_s=at_s, until_s=None if until is None else at_s + until
+        ))
+    plan = FaultPlan(events)
+    rerouter = machine_rerouter(_HOST, plan, endpoints) if draw(st.booleans()) else None
+    retry = RetryPolicy(max_retries=draw(st.integers(min_value=0, max_value=4)),
+                        base_delay_s=0.1)
+    return flows, plan, rerouter, retry, draw(st.integers(min_value=0, max_value=9))
+
+
+def _faulted(cls, flows, plan, rerouter, retry, seed):
+    stats = SolverStats()
+    runner = cls(_HOST_CAPS, plan=plan, rng=np.random.default_rng(seed),
+                 retry=retry, rerouter=rerouter, stats=stats)
+    try:
+        outcomes = runner.simulate(flows)
+    except ReproError as exc:  # e.g. a plan that degrades a link it failed
+        return "raised", type(exc).__name__, str(exc)
+    return _hex(outcomes), stats.events, stats.solves
+
+
+@given(faulted_runs())
+@settings(max_examples=60, deadline=None)
+def test_faulted_runner_matches_its_frozen_step(run):
+    assert _faulted(DegradedFlowRunner, *run) == _faulted(_FrozenRunner, *run)

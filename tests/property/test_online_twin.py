@@ -3,14 +3,15 @@
 :meth:`OnlineSimulator.run` runs its own loop over the active streams,
 one ``water_fill`` per step.  Its reference is frozen below: the same
 run body on :class:`~repro.flows.network.FlowLoop` with a step hook,
-whose rates come from one ``Flow`` per running stream through the
-allocation cache (:meth:`~repro.solver.session.SolverSession.rates`).
-Over seeded and random workloads and all four policies, both must give
-the same :class:`PolicyOutcome` (every field, floats by ``float.hex``)
-and pose the same number of allocation problems, or raise the same
-error with the same text.  ``solver_stats`` wall times are left out on
-purpose; the reference counts its problems itself, since the cache
-counts only its misses as ``solves``.
+whose rates come from one ``Flow`` per running stream through
+:meth:`~repro.solver.session.SolverSession.rates`.  Over seeded and
+random workloads and all four policies, both must give the same
+:class:`PolicyOutcome` (every field, floats by ``float.hex``) and pose
+the same number of allocation problems, or raise the same error with
+the same text, with one expected difference: a run whose makespan is
+0 s is a typed error on the list loop and ``repro.units.gbps``'s bare
+``ValueError`` on the frozen side.  ``solver_stats`` wall times are
+left out on purpose; the reference counts its problems itself.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from repro.errors import ReproError
 from repro.flows.flow import Flow
 from repro.flows.network import FlowLoop
 from repro.rng import RngRegistry
+from repro.solver import session as session_module
 from repro.units import GB, gbps
 
 
 def _frozen_rates(self, now, active):
-    """The step hook's rates: a flow list through the allocation cache."""
+    """The step hook's rates: a flow list through ``SolverSession.rates``."""
     running = [j for j in active if j.stalled_until_s <= now]
     if not running:
         return {}
@@ -169,6 +171,18 @@ def _twins(machine, model, seed):
     return new, old
 
 
+#: The one answer the twins give differently, frozen side first: a run
+#: whose every stream finishes at the instant it arrives (1 byte at
+#: ~1e7 s) has a makespan of 0 s, which the list loop reports as a
+#: typed error.
+_ZERO_MAKESPAN = (
+    ("raised", "ValueError", "elapsed time must be positive, got 0.0"),
+    ("raised", "SimulationError",
+     "makespan is 0 s: every stream finished at the instant it arrived, "
+     "so the run has no aggregate bandwidth"),
+)
+
+
 def _assert_twins_agree(new, old, jobs, policies=POLICIES):
     stats = new.session.stats
     for policy in policies:
@@ -176,6 +190,8 @@ def _assert_twins_agree(new, old, jobs, policies=POLICIES):
         fresh = _answer(new.run, jobs, policy, lambda: stats.solves - before)
         posed = old.problems
         frozen = _answer(old.run, jobs, policy, lambda: old.problems - posed)
+        if frozen == _ZERO_MAKESPAN[0]:
+            frozen = _ZERO_MAKESPAN[1]
         assert fresh == frozen, policy
 
 
@@ -235,27 +251,32 @@ def test_tolerance_edges_match(host, write_model, jobs):
 
 
 def test_only_the_frozen_side_runs_flow_loop(host, write_model, monkeypatch):
-    loops = []
+    loops, solves = [], []
     loop_run = FlowLoop.run
+    maxmin_rates = session_module.maxmin_rates
 
     def spy(self):
         loops.append(self)
         return loop_run(self)
 
+    def spy_solve(flows, capacities, stats=None):
+        solves.append(flows)
+        return maxmin_rates(flows, capacities, stats)
+
     monkeypatch.setattr(FlowLoop, "run", spy)
+    monkeypatch.setattr(session_module, "maxmin_rates", spy_solve)
     jobs = OnlineWorkload(RngRegistry(6), rate_per_s=0.2).generate(12)
     new, old = _twins(host, write_model, 6)
     stats = new.session.stats
-    lookups, allocate = stats.lookups, stats.phase_wall_s.get("allocate")
+    allocate = stats.phase_wall_s.get("allocate")
     simulate = stats.phase_wall_s.get("simulate", 0.0)
     new.run(jobs, "class-migrate")
-    assert loops == []
-    # The run is one ``simulate`` phase: no cache lookup, no allocate span.
-    assert stats.lookups == lookups
+    assert loops == [] and solves == []
+    # The run is one ``simulate`` phase: no flow list, no allocate span.
     assert stats.phase_wall_s.get("allocate") == allocate
     assert stats.phase_wall_s["simulate"] > simulate
     old.run(jobs, "class-migrate")
-    assert len(loops) == 1
+    assert len(loops) == 1 and len(solves) == old.problems > 0
 
 
 def test_duplicate_stream_names_raise_alike(host, write_model):

@@ -1,12 +1,15 @@
-"""Property-based equivalence of the incremental solver.
+"""Property-based equivalence of the cold max-min solve.
 
-The memoized :class:`repro.solver.incremental.AllocationCache` must be
-an observationally exact replacement for a cold
-:func:`repro.flows.maxmin.maxmin_allocate` call: same rates (within
-1e-9) on any problem, whether the answer is solved cold, served from the
-signature-multiset cache, or re-keyed after a capacity change.  Its cold
-solver must also be bit-identical, on weight-1 problems, to the numpy
-formulation of the same progressive-filling rounds frozen below.
+:func:`repro.solver.incremental.maxmin_rates` must give the rates of a
+:func:`repro.flows.maxmin.maxmin_allocate` call (within 1e-9) on any
+problem, and its group solve must be bit-identical, on weight-1
+problems, to the numpy formulation of the same progressive-filling
+rounds frozen below.  It replaced the allocation memo
+(``AllocationCache``, frozen in :mod:`tests.property.frozen_allocation`),
+so it must also give every answer the memo gave by ``float.hex`` on
+weight-1 problems, including the problems posed again in another order,
+under other names or at other capacities, and raise what the memo
+raised with the same text.
 """
 
 from __future__ import annotations
@@ -15,18 +18,16 @@ import math
 from collections import OrderedDict
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.flows.flow import Flow
 from repro.flows.maxmin import maxmin_allocate
-from repro.solver.incremental import (
-    _EPS,
-    AllocationCache,
-    _solve_groups,
-    flow_signature,
-)
+from repro.obs.stats import SolverStats
+from repro.solver.incremental import _EPS, _solve_groups, maxmin_rates
+from tests.property.frozen_allocation import AllocationCache
 
 RESOURCES = ["r0", "r1", "r2", "r3", "r4"]
 
@@ -76,7 +77,7 @@ def problems(draw):
 def test_cold_solve_matches_maxmin(problem):
     flows, caps = problem
     expected = maxmin_allocate(flows, caps)
-    actual = AllocationCache().rates(flows, caps)
+    actual = maxmin_rates(flows, caps)
     assert set(actual) == set(expected)
     for name in expected:
         assert actual[name] == expected[name] or (
@@ -85,63 +86,120 @@ def test_cold_solve_matches_maxmin(problem):
 
 
 @given(problems())
-@settings(max_examples=200, deadline=None)
-def test_cached_solve_matches_maxmin(problem):
-    """The second lookup (a cache hit) must return the same rates."""
-    flows, caps = problem
-    expected = maxmin_allocate(flows, caps)
-    cache = AllocationCache()
-    cache.rates(flows, caps)  # warm
-    cached = cache.rates(flows, caps)
-    for name in expected:
-        assert abs(cached[name] - expected[name]) <= TOL, name
-
-
-@given(problems())
-@settings(max_examples=200, deadline=None)
-def test_renamed_flows_reuse_cached_rates_correctly(problem):
-    """A cache hit keyed on the signature multiset must hand the right
-    rate to each flow even when names and ordering differ."""
-    flows, caps = problem
-    cache = AllocationCache()
-    cache.rates(flows, caps)  # warm with the original names
-    renamed = [
-        Flow(name=f"alias-{i}", resources=f.resources,
-             demand_gbps=f.demand_gbps, weight=f.weight)
-        for i, f in enumerate(reversed(flows))
-    ]
-    actual = cache.rates(renamed, caps)
-    expected = maxmin_allocate(renamed, caps)
-    for name in expected:
-        assert abs(actual[name] - expected[name]) <= TOL, name
-
-
-@given(problems(), st.floats(min_value=0.5, max_value=2.0, allow_nan=False))
-@settings(max_examples=100, deadline=None)
-def test_capacity_change_is_not_served_stale(problem, scale):
-    """Scaling a capacity changes the cache key, so the answer tracks the
-    new capacities instead of replaying the old allocation."""
-    flows, caps = problem
-    cache = AllocationCache()
-    cache.rates(flows, caps)  # warm at the original capacities
-    scaled_caps = {r: c * scale for r, c in caps.items()}
-    actual = cache.rates(flows, scaled_caps)
-    expected = maxmin_allocate(flows, scaled_caps)
-    for name in expected:
-        assert abs(actual[name] - expected[name]) <= TOL, name
-
-
-@given(problems())
 @settings(max_examples=100, deadline=None)
 def test_identical_signatures_get_identical_rates(problem):
-    """The memoization premise itself: equal signatures, equal rates."""
+    """The group-solve premise itself: equal signatures, equal rates."""
     flows, caps = problem
-    rates = AllocationCache().rates(flows, caps)
+    rates = maxmin_rates(flows, caps)
     by_signature = {}
     for f in flows:
-        by_signature.setdefault(flow_signature(f), []).append(rates[f.name])
+        signature = (tuple(sorted(f.resources)), f.demand_gbps, f.weight)
+        by_signature.setdefault(signature, []).append(rates[f.name])
     for values in by_signature.values():
         assert max(values) - min(values) <= TOL
+
+
+@st.composite
+def weight_one_problems(draw):
+    """Weight-1 flows over 1-5 resources, demands from a small pool.
+
+    The pool makes flows share signatures, so the memo's signature
+    groups and its multiset key both see repeats.
+    """
+    names = RESOURCES[:draw(st.integers(min_value=1, max_value=5))]
+    caps = {
+        r: draw(st.one_of(
+            st.integers(min_value=1, max_value=64).map(float),
+            st.floats(min_value=0.5, max_value=100.0,
+                      allow_nan=False, allow_infinity=False),
+        ))
+        for r in names
+    }
+    demands = st.one_of(
+        st.just(math.inf),
+        st.sampled_from([0.5, 2.0, 7.25]),
+        st.floats(min_value=0.1, max_value=50.0,
+                  allow_nan=False, allow_infinity=False),
+    )
+    flows = [
+        Flow(
+            name=f"f{i}",
+            resources=tuple(draw(st.permutations(sorted(draw(st.sets(
+                st.sampled_from(names), min_size=1
+            )))))),
+            demand_gbps=draw(demands),
+        )
+        for i in range(draw(st.integers(min_value=1, max_value=12)))
+    ]
+    return flows, caps
+
+
+def _hex(rates):
+    return {name: rate.hex() for name, rate in rates.items()}
+
+
+@given(weight_one_problems(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_cold_solve_equals_the_frozen_memo(problem, data):
+    """Each problem is posed four times: as drawn (a memo miss), in
+    another order, under new names with its resources listed in reverse
+    (both memo hits), and at scaled capacities (a miss).  Every posing
+    is one solve on the cold side."""
+    flows, caps = problem
+    order = data.draw(st.permutations(range(len(flows))))
+    scale = data.draw(st.floats(min_value=0.5, max_value=2.0, allow_nan=False))
+    renamed = [
+        Flow(name=f"alias-{i}", resources=tuple(reversed(flows[k].resources)),
+             demand_gbps=flows[k].demand_gbps)
+        for i, k in enumerate(order)
+    ]
+    posings = [
+        (flows, caps),
+        ([flows[k] for k in order], caps),
+        (renamed, caps),
+        (flows, {r: c * scale for r, c in caps.items()}),
+    ]
+    memo, stats = AllocationCache(), SolverStats()
+    for posed, capacities in posings:
+        want = _hex(memo.rates(posed, capacities))
+        got = maxmin_rates(posed, capacities, stats)
+        assert list(got) == [f.name for f in posed]
+        assert _hex(got) == want
+    assert memo.hits >= 2
+    assert stats.solves == len(posings)
+
+
+_DEFECTS = ("duplicate", "unknown", "zero", "negative", "unbounded")
+
+
+def _raised(solve, flows, caps):
+    with pytest.raises(SimulationError) as info:
+        solve(flows, caps)
+    return str(info.value)
+
+
+@given(weight_one_problems(), st.sets(st.sampled_from(_DEFECTS), min_size=1))
+@settings(max_examples=200, deadline=None)
+def test_cold_solve_rejects_what_the_frozen_memo_rejected(problem, defects):
+    """Every mix of defects raises the same first error, so the checks
+    run in the memo's order with its messages."""
+    drawn, caps = problem
+    flows, caps = list(drawn), dict(caps)
+    if "duplicate" in defects:
+        flows.append(Flow(name=drawn[0].name, resources=drawn[-1].resources))
+    if "unknown" in defects:
+        flows.append(Flow(name="stray", resources=("nowhere",)))
+    if "zero" in defects:
+        caps[drawn[-1].resources[0]] = 0.0
+    if "negative" in defects:
+        caps[drawn[0].resources[-1]] = -1.0
+    if "unbounded" in defects:
+        flows.append(Flow(name="elastic", resources=()))
+    stats = SolverStats()
+    assert _raised(
+        lambda f, c: maxmin_rates(f, c, stats), flows, caps
+    ) == _raised(AllocationCache().rates, flows, caps)
+    assert stats.solves == 0
 
 
 def _numpy_solve_groups(
@@ -208,7 +266,7 @@ def _numpy_solve_groups(
 
 @st.composite
 def weight_one_groups(draw):
-    """Signature lists as ``AllocationCache.rates`` poses them cold.
+    """Signature lists as ``maxmin_rates`` poses them to ``_solve_groups``.
 
     1–16 groups over 1–17 resources, repeated and shuffled signatures,
     elastic (``inf``) demands, finite-demand groups that cross no

@@ -4,7 +4,9 @@
 option when installed; otherwise ``pytest_addoption`` registers it, so
 it is honoured instead of warned about, and ``pytest_runtest_call``
 enforces it with SIGALRM on the main thread.  Both the test suite's and
-the benchmarks' ``conftest.py`` import these two hooks by name.
+the benchmarks' ``conftest.py`` import these two hooks by name, and
+``scripts/perfbench_smoke.sh`` loads this module as a plugin
+(``-p tests.timeout_fallback``).
 """
 
 from __future__ import annotations

@@ -175,7 +175,7 @@ class TestSweepFastPaths:
         from repro.bench import engines
         from repro.solver.session import SolverSession
 
-        calls = {"resources": 0, "equal_shares": 0, "derivations": 0, "streams": 0}
+        calls = {"resources": 0, "rates": 0, "derivations": 0, "streams": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -185,8 +185,8 @@ class TestSweepFastPaths:
 
         monkeypatch.setattr(engines, "_copy_resources",
                             counted("resources", engines._copy_resources))
-        monkeypatch.setattr(SolverSession, "equal_shares",
-                            counted("equal_shares", SolverSession.equal_shares))
+        monkeypatch.setattr(SolverSession, "rates",
+                            counted("rates", SolverSession.rates))
         monkeypatch.setattr(rng, "_pcg64_states",
                             counted("derivations", rng._pcg64_states))
 
@@ -205,14 +205,14 @@ class TestSweepFastPaths:
             models = builder.build_many(machine.node_ids, mode)
             assert len(models) == machine.n_nodes
             assert calls["derivations"] == n_calls
-        assert calls == {"resources": 0, "equal_shares": 0, "derivations": 2,
+        assert calls == {"resources": 0, "rates": 0, "derivations": 2,
                          "streams": 0}
         assert len(registry.draw_counts) == 2 * machine.n_nodes ** 2
         # The spies are live: the per-probe and flow-list references hit them.
         builder.measure_pair(0, 1, "write")
         engines._bulk_copy_flows(machine, 0, 1, 2)
-        builder.session.equal_shares([])
-        assert calls == {"resources": 1, "equal_shares": 1, "derivations": 2,
+        builder.session.rates([])
+        assert calls == {"resources": 1, "rates": 1, "derivations": 2,
                          "streams": 1}
 
 

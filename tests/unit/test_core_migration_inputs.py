@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.iomodel import IOModelBuilder
 from repro.core.migration import POLICIES, OnlineSimulator, OnlineWorkload
-from repro.errors import ModelError
+from repro.errors import ModelError, SimulationError
 from repro.rng import RngRegistry
 
 
@@ -71,3 +71,39 @@ class TestWorkloadErrors:
     def test_integer_stream_counts_accepted(self, count):
         jobs = OnlineWorkload(RngRegistry(2)).generate(count)
         assert [j.name for j in jobs] == ["wl/0", "wl/1", "wl/2"]
+
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf])
+    def test_infinite_rate_rejected_at_construction(self, rate):
+        with pytest.raises(ModelError, match=r"got rate_per_s=-?inf"):
+            OnlineWorkload(rate_per_s=rate)
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_mean_size_rejected_at_construction(self, size):
+        with pytest.raises(ModelError, match=r"got mean_size_bytes="):
+            OnlineWorkload(mean_size_bytes=size)
+
+
+class TestZeroMakespan:
+    """One byte arriving at ~5.2e6 s finishes at the float of its
+    arrival, so the run spans 0 s and has no aggregate bandwidth."""
+
+    @staticmethod
+    def _one_byte():
+        return OnlineWorkload(
+            RngRegistry(3), rate_per_s=1e-7, mean_size_bytes=1.0,
+            size_sigma=0.0, write_fraction=0.0,
+        ).generate(1)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_is_a_simulation_error(self, host, write_model, policy):
+        with pytest.raises(SimulationError, match="makespan is 0 s"):
+            _simulator(host, write_model).run(self._one_byte(), policy)
+
+    def test_cli_replay_exits_2(self, tmp_path, capsys):
+        from repro.cli.main import main
+        from repro.core.traces import save_trace
+
+        trace = tmp_path / "one-byte.trace"
+        save_trace(self._one_byte(), trace)
+        assert main(["online", "--trace", str(trace)]) == 2
+        assert "makespan is 0 s" in capsys.readouterr().err

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.flows import network as network_module
 from repro.flows.flow import Flow
 from repro.flows.network import FlowNetwork
 from repro.obs.stats import SolverStats
-from repro.solver.incremental import AllocationCache
 from repro.units import gbps_to_bytes_per_s
 
 
@@ -73,15 +73,29 @@ class TestSimulate:
         assert sum(rates.values()) == pytest.approx(6.0)
 
 
+@pytest.fixture()
+def solves(monkeypatch):
+    """Calls of ``maxmin_rates`` from the flow network, in order."""
+    calls = []
+    solve = network_module.maxmin_rates
+
+    def spy(flows, capacities, stats=None):
+        calls.append(list(flows))
+        return solve(calls[-1], capacities, stats)
+
+    monkeypatch.setattr(network_module, "maxmin_rates", spy)
+    return calls
+
+
 def _counted(capacities):
     stats = SolverStats()
-    return FlowNetwork(capacities, AllocationCache(stats=stats), stats), stats
+    return FlowNetwork(capacities, stats=stats), stats
 
 
 class TestOneResourceSweep:
-    """Which problems ``simulate`` solves by sweep, and which by cache."""
+    """Which problems ``simulate`` solves by sweep, and which by ``maxmin_rates``."""
 
-    def test_one_resource_steps_are_sweeps_not_lookups(self):
+    def test_one_resource_steps_are_sweeps_not_lookups(self, solves):
         net, stats = _counted({"r": 10.0, "other": 1.0})
         flows = [
             Flow(name=f"f{i}", resources=("r",), demand_gbps=2.0 + i,
@@ -91,7 +105,7 @@ class TestOneResourceSweep:
         net.simulate(flows)
         assert stats.events == 4
         assert stats.solves == 4
-        assert stats.lookups == 0
+        assert solves == []
 
     @pytest.mark.parametrize(
         "flows",
@@ -105,10 +119,10 @@ class TestOneResourceSweep:
             [Flow(name="a", resources=("r",), size_bytes=1e9, weight=2.0)],
         ],
     )
-    def test_other_problems_go_through_the_cache(self, flows):
+    def test_other_problems_take_maxmin_rates(self, solves, flows):
         net, stats = _counted({"r": 10.0, "other": 1.0})
         net.simulate(flows)
-        assert stats.lookups == stats.events > 0
+        assert len(solves) == stats.solves == stats.events > 0
 
     @pytest.mark.parametrize(
         "capacities, message",
@@ -117,11 +131,11 @@ class TestOneResourceSweep:
             ({"r": 0.0}, "resource 'r' has non-positive capacity"),
         ],
     )
-    def test_rejected_problems_keep_the_cache_errors(self, capacities, message):
+    def test_rejected_problems_keep_the_solver_errors(self, capacities, message):
         net, stats = _counted(capacities)
         with pytest.raises(SimulationError, match=message):
             net.simulate([Flow(name="a", resources=("r",), size_bytes=1e9)])
-        assert stats.cache_misses == 0 and stats.solves == 0
+        assert stats.solves == 0
 
 
 class TestAggregate:

@@ -1,4 +1,4 @@
-"""SolverSession: capacity caching, fingerprints, invalidation, stats."""
+"""SolverSession: capacity caching, fingerprints, invalidation, cold solves, stats."""
 
 import pytest
 
@@ -114,14 +114,13 @@ class TestInvalidation:
     def test_explicit_invalidate_drops_caches(self, bare_host):
         session = SolverSession(bare_host)
         session.capacities()
-        session.rates([Flow(name="f", resources=("ctrl-dma:0",))])
         session.dma_path_gbps(0, 7)
         session.invalidate()
         session.capacities()
-        session.rates([Flow(name="f", resources=("ctrl-dma:0",))])
+        session.dma_path_gbps(0, 7)
         assert session.stats.capacity_builds == 2
-        assert session.stats.cache_misses == 2
-        assert session.stats.cache_hits == 0
+        assert session.stats.path_misses == 2
+        assert session.stats.path_hits == 0
 
 
 class TestLateRoutingOverride:
@@ -185,13 +184,11 @@ class TestRegistryDrop:
     @staticmethod
     def _warm(session):
         session.capacities()
-        session.rates([Flow(name="f", resources=("ctrl-dma:0",))])
         session.dma_path_gbps(0, 7)
-        assert session.stats.capacity_builds == 1 and len(session._alloc) == 1
+        assert session.stats.capacity_builds == 1
 
     @staticmethod
     def _assert_cold(session):
-        assert len(session._alloc) == 0
         session.capacities()
         session.dma_path_gbps(0, 7)
         assert session.stats.capacity_builds == 2
@@ -215,27 +212,36 @@ class TestRegistryDrop:
         assert get_session(bare_host) is not held
 
 
-class TestAllocationMemoization:
-    def test_repeat_solve_hits_cache(self, bare_host):
+class TestColdSolves:
+    """Every allocation is solved cold: no memo, one solve per call."""
+
+    def test_repeat_solve_is_solved_again(self, bare_host):
+        from repro.obs import MetricsRegistry, TraceRecorder
+        from repro.obs import recorder as obs
+
         session = SolverSession(bare_host)
         flows = [
             Flow(name="a", resources=("ctrl-dma:0",), demand_gbps=5.0),
             Flow(name="b", resources=("ctrl-dma:0",)),
         ]
-        first = session.rates(flows)
-        second = session.rates(flows)
+        recorder = TraceRecorder(MetricsRegistry())
+        obs.install(recorder)
+        try:
+            first = session.rates(flows)
+            second = session.rates(flows)
+        finally:
+            obs.uninstall()
         assert first == second
-        assert session.stats.solves == 1
-        assert session.stats.cache_hits == 1
-        assert session.stats.hit_rate == pytest.approx(0.5)
+        assert session.stats.solves == 2
+        assert recorder.phase_totals()["solver.allocate"]["count"] == 2
 
-    def test_flow_names_do_not_defeat_the_cache(self, bare_host):
+    def test_an_empty_problem_is_no_solve(self, bare_host):
         session = SolverSession(bare_host)
-        session.rates([Flow(name="x", resources=("ctrl-dma:0",))])
-        session.rates([Flow(name="y", resources=("ctrl-dma:0",))])
-        assert session.stats.solves == 1
-        assert session.stats.cache_hits == 1
+        assert session.rates([]) == {}
+        assert session.stats.solves == 0
 
+
+class TestPathMemoization:
     def test_path_lookups_memoized(self, bare_host):
         session = SolverSession(bare_host)
         for _ in range(3):
@@ -246,79 +252,6 @@ class TestAllocationMemoization:
         assert session.stats.path_hits == 2
 
 
-class TestEqualShares:
-    """The closed-form single-signature entry point against ``rates``."""
-
-    PROBLEMS = [
-        (("ctrl-dma:0",), 5.0, 1),
-        (("ctrl-dma:0",), 5.0, 16),
-        (("ctrl-dma:0", "ctrl-dma:4", "link-dma:0>1", "link-dma:1>4"), 11.5, 4),
-        (("ctrl-dma:7", "ctrl-dma:2", "link-dma:7>2"), 2.3, 3),
-        (("ctrl-dma:1", "ctrl-dma:5"), float("inf"), 7),
-        (("link-dma:2>7",), 0.1, 9),
-    ]
-
-    @staticmethod
-    def _flows(resources, demand, count):
-        return [
-            Flow(name=f"t{i}", resources=resources, demand_gbps=demand)
-            for i in range(count)
-        ]
-
-    def test_each_share_equals_rates_on_the_same_flow_list(self, bare_host):
-        shares = SolverSession(bare_host).equal_shares(self.PROBLEMS)
-        for share, problem in zip(shares, self.PROBLEMS):
-            rates = SolverSession(bare_host).rates(self._flows(*problem))
-            assert {r.hex() for r in rates.values()} == {share.hex()}, problem
-
-    def test_each_problem_is_one_solve_outside_the_cache(self, bare_host):
-        session = SolverSession(bare_host)
-        problem = self.PROBLEMS[2]
-        session.equal_shares([problem, problem, problem])
-        assert session.stats.solves == 3
-        assert session.stats.cache_hits == 0
-        assert session.stats.cache_misses == 0
-
-    def test_a_batch_is_one_allocate_phase(self, bare_host):
-        from repro.obs import MetricsRegistry, TraceRecorder
-        from repro.obs import recorder as obs
-
-        session = SolverSession(bare_host)
-        recorder = TraceRecorder(MetricsRegistry())
-        obs.install(recorder)
-        try:
-            session.equal_shares(self.PROBLEMS)
-        finally:
-            obs.uninstall()
-        assert recorder.phase_totals()["solver.allocate"]["count"] == 1
-        assert list(session.stats.phase_wall_s) == ["capacity", "allocate"]
-
-    @pytest.mark.parametrize(
-        "problem, message",
-        [
-            ((("ctrl-dma:0", "nowhere"), 5.0, 2), "unknown resource 'nowhere'"),
-            ((("ctrl-dma:0",), 0.0, 2), "demand must be positive"),
-            ((("ctrl-dma:0",), -1.0, 2), "demand must be positive"),
-            ((("ctrl-dma:0",), 5.0, 0), "need >= 1 flow"),
-            ((("ctrl-dma:0", "ctrl-dma:0"), 5.0, 2), "twice"),
-            (((), float("inf"), 2), "unbounded allocation"),
-        ],
-    )
-    def test_bad_problems_raise_typed_errors(self, bare_host, problem, message):
-        session = SolverSession(bare_host)
-        with pytest.raises(SimulationError, match=message):
-            session.equal_shares([self.PROBLEMS[0], problem])
-
-    def test_non_positive_capacity_raises_like_rates(self, bare_host):
-        caps = {"a": 4.0, "b": 0.0, "c": -1.0}
-        flows = self._flows(("c", "a", "b"), 5.0, 2)
-        with pytest.raises(SimulationError) as expected:
-            SolverSession().rates(flows, caps)
-        with pytest.raises(SimulationError) as got:
-            SolverSession().equal_shares([(("c", "a", "b"), 5.0, 2)], caps)
-        assert str(got.value) == str(expected.value)
-
-
 class TestStatsOnResults:
     def test_engine_result_carries_solver_stats(self, host):
         engine = MemcpyEngine(host)
@@ -327,9 +260,9 @@ class TestStatsOnResults:
         result = engine.run(job, RngRegistry().stream("solver-stats"))
         assert result.solver_stats["solves"] >= 1
         assert result.solver_stats["events"] >= 1
-        assert set(result.solver_stats) >= {
-            "solves", "cache_hits", "cache_misses", "hit_rate",
-            "events", "phase_wall_s",
+        assert set(result.solver_stats) == {
+            "solves", "events", "capacity_builds", "capacity_hits",
+            "path_hits", "path_misses", "phase_wall_s",
         }
 
     def test_snapshot_is_detached(self, bare_host):
@@ -347,7 +280,8 @@ class TestStatsCli:
         out = capsys.readouterr().out
         assert "solver session stats" in out
         assert "max-min solves" in out
-        assert "cache hits/misses" in out
+        assert "events processed" in out
+        assert "cache hits" not in out
 
     def test_stats_stream_counts_path_lookups(self, capsys):
         from repro.cli.main import main

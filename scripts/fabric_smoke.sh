@@ -3,7 +3,8 @@
 #
 # Gates, in order:
 #   1. `iomodel --targets ... --jobs N` stdout is byte-identical to the
-#      serial run (the sharded-sweep contract).
+#      serial run (the sharded-sweep contract), on the 8-node reference
+#      host and on the 32-node multi-hop hp-blade-32n host.
 #   2. `experiment all --quick --jobs 2` writes byte-identical artifacts
 #      to the serial run, and the jobs run survives a SIGKILLed worker
 #      with every experiment still reported exactly once.
@@ -28,16 +29,18 @@ mkdir -p "$WORK"
 TOLERANCE="${BENCH_TOLERANCE:-0.50}"
 
 echo "== 1. sharded iomodel sweep: stdout byte-identity"
-PYTHONPATH=src python -m repro.cli.main iomodel --targets all --mode both \
-    --runs 10 > "$WORK/io_serial.txt"
-PYTHONPATH=src python -m repro.cli.main iomodel --targets all --mode both \
-    --runs 10 --jobs 3 > "$WORK/io_jobs.txt"
-if ! cmp -s "$WORK/io_serial.txt" "$WORK/io_jobs.txt"; then
-    echo "FAIL: --jobs 3 changed the iomodel sweep's stdout" >&2
-    diff "$WORK/io_serial.txt" "$WORK/io_jobs.txt" >&2 || true
-    exit 1
-fi
-echo "iomodel sweep byte-identical at --jobs 3"
+for machine in reference hp-blade-32n; do
+    PYTHONPATH=src python -m repro.cli.main --machine "$machine" iomodel \
+        --targets all --mode both --runs 10 > "$WORK/io_serial.txt"
+    PYTHONPATH=src python -m repro.cli.main --machine "$machine" iomodel \
+        --targets all --mode both --runs 10 --jobs 3 > "$WORK/io_jobs.txt"
+    if ! cmp -s "$WORK/io_serial.txt" "$WORK/io_jobs.txt"; then
+        echo "FAIL: --jobs 3 changed the $machine iomodel sweep's stdout" >&2
+        diff "$WORK/io_serial.txt" "$WORK/io_jobs.txt" >&2 || true
+        exit 1
+    fi
+    echo "$machine iomodel sweep byte-identical at --jobs 3"
+done
 
 echo "== 2. experiment artifacts: serial vs --jobs 2"
 PYTHONPATH=src python -m repro.cli.main experiment all --quick \

@@ -153,7 +153,7 @@ def _bulk_copy_flows(
     """The per-thread DMA-context flow list of one bulk copy src -> dst.
 
     ``hops`` is the pair's DMA-plane route when the caller already has
-    it.  Max-min over this list is what the route-bottleneck shares of
+    it.  Max-min over this list is what the closed-form shares of
     :func:`bulk_copy_gbps_many` stand for, and what it solves when they
     cannot decide: ``sum(session.rates(flows).values())`` is the copy's
     aggregate bandwidth.
@@ -199,20 +199,26 @@ def bulk_copy_gbps_many(
     """:func:`bulk_copy_gbps` for many ``(src, dst)`` pairs in one batch.
 
     A copy's threads are one signature group, so each distinct pair is
-    routed once and solved once, in closed form: its per-thread share is
-    ``min(demand, bottleneck / threads)``, where the bottleneck is the
-    least capacity among the source controller, the sink controller
-    (unless the copy is local) and the links of its DMA-plane route,
-    read from the session's capacity map (:func:`_route_bottlenecks`).
-    That is the float max-min gives every thread of the copy's flow
-    list (:func:`_bulk_copy_flows`), which the call solves instead,
-    one ``session.rates`` per distinct pair, when a capacity is not
-    positive and finite, a resource is missing, a route revisits a node
-    or the demand is not positive, so those raise max-min's errors.
+    solved once, in closed form, without routing it: its per-thread
+    share is ``min(demand, bottleneck / threads)``, where the bottleneck
+    is ``min(ctrl[src], ctrl[dst], widest[src][dst])`` for a remote copy
+    and ``ctrl[src]`` for a local one.  ``ctrl`` is the controllers'
+    capacities in the session's map and ``widest`` the narrowest link
+    on each DMA-plane route, one
+    :meth:`~repro.routing.table.RoutingTable.widest` pass per source
+    (:func:`_route_bottlenecks`).  That is the float max-min gives every
+    thread of the copy's flow list (:func:`_bulk_copy_flows`).  The call
+    routes every pair and solves that flow list instead, one
+    ``session.rates`` per distinct pair, when a capacity is missing or
+    not positive and finite, a link's capacity in the map is not its
+    ``dma_gbps`` (routes are chosen on widths), a DMA-plane override
+    starts at a source, a pair is unknown or unreachable, or the demand
+    is not positive.  So those give the reference's values or raise its
+    errors, and an unknown or unreachable pair raises ``route()``'s
+    :class:`~repro.errors.RoutingError` before any pair is solved.
     Either way each distinct pair counts one solve; repeated pairs
     reuse its total.  A total adds the per-thread share ``threads``
     times, as ``sum(rates.values())`` does over the copy's flow list.
-    Every pair is routed before any is solved.
     """
     if threads < 1:
         raise BenchmarkError(f"need >= 1 copy thread, got {threads}")
@@ -220,14 +226,12 @@ def bulk_copy_gbps_many(
     keys = [(src, dst) for src, dst in pairs]
     distinct = list(dict.fromkeys(keys))
     demand = machine.params.dma_per_thread_gbps
-    route = machine.routing.route
-    routes = [None if src == dst else route(PLANE_DMA, src, dst)
-              for src, dst in distinct]
     caps = session.capacities()
-    bottlenecks = (
-        _route_bottlenecks(machine, caps, distinct, routes) if demand > 0 else None
-    )
+    bottlenecks = _route_bottlenecks(machine, caps, distinct) if demand > 0 else None
     if bottlenecks is None:
+        route = machine.routing.route
+        routes = [None if src == dst else route(PLANE_DMA, src, dst)
+                  for src, dst in distinct]
         totals = {
             (src, dst): sum(session.rates(
                 _bulk_copy_flows(machine, src, dst, threads, hops), caps
@@ -245,46 +249,54 @@ def bulk_copy_gbps_many(
     return [totals[pair] for pair in keys]
 
 
-def _route_bottlenecks(machine: Machine, caps, pairs, routes) -> list[float] | None:
+def _route_bottlenecks(machine: Machine, caps, pairs) -> list[float] | None:
     """Each copy's least resource capacity, or ``None`` if the reference must decide.
 
-    ``routes[i]`` is ``pairs[i]``'s DMA-plane hops, ``None`` for a local
-    copy.  Capacities come from ``caps`` through a node / ``(a, b)``
-    index built once per call.  Division by a positive thread count is
-    monotone, so ``least / threads`` is the least of the per-resource
-    ``cap / threads``, the rate max-min's first round gives every
-    thread.  ``None`` when an
-    indexed capacity is missing or not positive and finite, a copy
-    crosses a resource outside the index, or a route revisits a node
-    (its links could repeat).
+    A local copy's is its controller's capacity in ``caps``; a remote
+    copy's is the least of both controllers' and the narrowest link
+    width on its DMA-plane route, read route-free from
+    :meth:`~repro.routing.table.RoutingTable.widest`, once per distinct
+    source.  Routes are chosen on link widths, so a width stands for the
+    link's capacity only where ``caps`` holds exactly that width: every
+    link's capacity must equal its ``dma_gbps``.  Division by a positive
+    thread count is monotone, so ``least / threads`` is the least of the
+    per-resource ``cap / threads``, the rate max-min's first round gives
+    every thread.  ``None`` when a controller or link capacity is
+    missing or not positive and finite, a link's capacity is not its
+    width, a node is unknown or unreachable, or a DMA-plane override
+    starts at a source.
     """
-    ctrl = {node: caps.get(dma_resource(node)) for node in machine.node_ids}
-    link = {ends: caps.get(link_resource(*ends)) for ends in machine.links}
-    for cap in (*ctrl.values(), *link.values()):
+    ctrl = {}
+    for node in machine.node_ids:
+        cap = caps.get(dma_resource(node))
         if cap is None or not 0.0 < cap < math.inf:
             return None
-    ctrl = {node: float(cap) for node, cap in ctrl.items()}
-    out: dict[int, dict[int, float]] = {}
-    for (a, b), cap in link.items():
-        out.setdefault(a, {})[b] = float(cap)
+        ctrl[node] = float(cap)
+    for ends, link in machine.links.items():
+        cap = caps.get(link_resource(*ends))
+        if cap != link.dma_gbps or not 0.0 < cap < math.inf:
+            return None
+    widest = machine.routing.widest
+    reach: dict[int, dict[int, float]] = {}
     least = []
-    try:
-        for (src, dst), hops in zip(pairs, routes):
-            if hops is None:
-                least.append(ctrl[src])
-                continue
-            if len(set(hops)) != len(hops):
-                return None
-            low = min(ctrl[src], ctrl[dst])
-            a = hops[0]
-            for b in hops[1:]:
-                cap = out[a][b]
-                if cap < low:
-                    low = cap
-                a = b
+    for src, dst in pairs:
+        low = ctrl.get(src)
+        if low is None:
+            return None
+        if src == dst:
             least.append(low)
-    except KeyError:
-        return None
+            continue
+        widths = reach.get(src)
+        if widths is None:
+            widths = widest(PLANE_DMA, src)
+            if widths is None:
+                return None
+            reach[src] = widths
+        sink = ctrl.get(dst)
+        width = widths.get(dst)
+        if sink is None or width is None:
+            return None
+        least.append(float(min(low, sink, width)))
     return least
 
 

@@ -113,8 +113,7 @@ class IOModelBuilder:
         self.rel_gap = rel_gap
         self.sigma = sigma
         # One solver session per characterization run: every probe of the
-        # Algorithm 1 loop shares the cached capacity map and allocation
-        # memo instead of building N cold networks.
+        # Algorithm 1 loop shares its cached capacity map.
         self.session = get_session(machine)
         #: Noise-free copy bandwidth per ``(src, dst)`` probed so far;
         #: the machine never changes, so neither do these.

@@ -21,6 +21,12 @@ __all__ = ["IOPerformanceModel", "OperationRow", "ModelTable"]
 _MODEL_FORMAT_VERSION = 1
 
 
+def _cell(text: str, width: int) -> str:
+    """``text`` right-aligned in a ``width``-character column, after at
+    least one space, so a wider cell never runs into its neighbour."""
+    return " " + text.rjust(width - 1)
+
+
 @dataclass(frozen=True)
 class IOPerformanceModel:
     """A per-target-node NUMA I/O performance model.
@@ -135,21 +141,21 @@ class IOPerformanceModel:
             f"avg of {self.runs} runs)"
         ]
         header = "            " + "".join(
-            f"Class {c.rank}".rjust(16) for c in self.classes
+            _cell(f"Class {c.rank}", 16) for c in self.classes
         )
         lines.append(header)
         lines.append(
             "Node ID     "
             + "".join(
-                ",".join(map(str, c.node_ids)).rjust(16) for c in self.classes
+                _cell(",".join(map(str, c.node_ids)), 16) for c in self.classes
             )
         )
         lines.append(
             "Range (Gbps)"
-            + "".join(f"{c.lo:.1f} - {c.hi:.1f}".rjust(16) for c in self.classes)
+            + "".join(_cell(f"{c.lo:.1f} - {c.hi:.1f}", 16) for c in self.classes)
         )
         lines.append(
-            "Avg (Gbps)  " + "".join(f"{c.avg:.1f}".rjust(16) for c in self.classes)
+            "Avg (Gbps)  " + "".join(_cell(f"{c.avg:.1f}", 16) for c in self.classes)
         )
         return "\n".join(lines)
 
@@ -239,13 +245,13 @@ class ModelTable:
         lines.append(
             "Operation".ljust(18)
             + "".ljust(7)
-            + "".join(f"Class {c.rank}".rjust(width) for c in model.classes)
+            + "".join(_cell(f"Class {c.rank}", width) for c in model.classes)
         )
         lines.append(
             "".ljust(18)
             + "Node".ljust(7)
             + "".join(
-                ",".join(map(str, c.node_ids)).rjust(width) for c in model.classes
+                _cell(",".join(map(str, c.node_ids)), width) for c in model.classes
             )
         )
         for r in self.rows:
@@ -253,13 +259,13 @@ class ModelTable:
                 r.operation.ljust(18)
                 + "Range".ljust(7)
                 + "".join(
-                    f"{lo:.1f}-{hi:.1f}".rjust(width)
+                    _cell(f"{lo:.1f}-{hi:.1f}", width)
                     for lo, hi in zip(r.per_class_lo, r.per_class_hi)
                 )
             )
             lines.append(
                 "".ljust(18)
                 + "Avg".ljust(7)
-                + "".join(f"{a:.1f}".rjust(width) for a in r.per_class_avg)
+                + "".join(_cell(f"{a:.1f}", width) for a in r.per_class_avg)
             )
         return "\n".join(lines)

@@ -15,6 +15,7 @@ coherent traffic\" — §IV-A) is per direction:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import TopologyError
@@ -76,12 +77,17 @@ class DirectedLink:
             raise TopologyError(f"implausible HT width {self.width_bits!r} bits")
         if not 0.0 < self.dma_credit <= 1.0:
             raise TopologyError(f"dma_credit must be in (0, 1], got {self.dma_credit!r}")
-        if self.gts <= 0:
-            raise TopologyError(f"gts must be positive, got {self.gts!r}")
-        if self.pio_latency_s < 0:
-            raise TopologyError(f"negative link latency: {self.pio_latency_s!r}")
-        if self.pio_cap_gbps is not None and self.pio_cap_gbps <= 0:
-            raise TopologyError(f"pio_cap_gbps must be positive, got {self.pio_cap_gbps!r}")
+        if not 0 < self.gts < math.inf:
+            raise TopologyError(f"gts must be positive and finite, got {self.gts!r}")
+        if not 0 <= self.pio_latency_s < math.inf:
+            raise TopologyError(
+                f"pio_latency_s must be non-negative and finite, "
+                f"got {self.pio_latency_s!r}"
+            )
+        if self.pio_cap_gbps is not None and not 0 < self.pio_cap_gbps < math.inf:
+            raise TopologyError(
+                f"pio_cap_gbps must be positive and finite, got {self.pio_cap_gbps!r}"
+            )
 
     # --- capacities ------------------------------------------------------
     @property

@@ -25,17 +25,32 @@ Cost: ``O(N * E * F)`` for all pairs of one plane, where the frontier
 size ``F`` is bounded by the number of distinct link widths/latencies a
 machine actually has (single digits in practice), instead of per-pair
 BFS plus exponential route enumeration.
+
+Callers that need only each route's narrowest link, not its hops (a
+bulk copy's bottleneck), take :func:`widest_from_source` instead: one
+BFS per source that carries a single float per node, the widest
+bottleneck among minimal-hop prefixes.  That is the selection's first
+key, so the value equals the narrowest width on the route
+:func:`routes_from_source` selects, bit for bit, and no hop tuple is
+built.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import RoutingError
 from repro.interconnect.planes import PLANE_DMA, Plane, validate_plane
 from repro.obs import recorder as _obs
 
-__all__ = ["bfs_layers", "plane_weights", "routes_from_source", "batch_routes"]
+__all__ = [
+    "bfs_layers",
+    "plane_weights",
+    "routes_from_source",
+    "widest_from_source",
+    "batch_routes",
+]
 
 #: A DP label: (bottleneck so far, latency so far, hop sequence).
 Label = tuple[float, float, tuple[int, ...]]
@@ -118,6 +133,51 @@ def routes_from_source(
     # _prune sorts by (-bottleneck, latency, hops) — the route selection
     # key — so the first surviving label is the selected route.
     return {node: node_labels[0][2] for node, node_labels in labels.items()}
+
+
+def widest_from_source(
+    adj: Mapping[int, Sequence[int]],
+    weights: Mapping[tuple[int, int], tuple[float, float]],
+    src: int,
+) -> dict[int, float]:
+    """Narrowest link width on the selected route from ``src`` to every reachable node.
+
+    The route-free companion of :func:`routes_from_source`, over the
+    same ``adj`` and ``weights`` (only each link's width, ``[0]``, is
+    read).  One BFS from ``src`` visits the layer DAG in order; each
+    node's value is the max over its previous-layer neighbours of the
+    min of their value and the link's width, final once the BFS leaves
+    the node's layer.  That is the widest bottleneck among minimal-hop
+    routes, the first key of the route selection, and ``min``/``max``
+    only pick among their operands, so every value is exactly the
+    narrowest width on :func:`routes_from_source`'s route.  ``src``
+    maps to ``inf`` (its route crosses no link); unreachable nodes are
+    absent.  ``src`` must be a key of ``adj``.
+    """
+    widest = {src: math.inf}
+    dist = {src: 0}
+    frontier = [src]
+    layer = 0
+    while frontier:
+        layer += 1
+        nxt = []
+        for here in frontier:
+            through = widest[here]
+            for there in adj[here]:
+                seen = dist.get(there)
+                if seen is None:
+                    dist[there] = layer
+                    nxt.append(there)
+                    width = weights[(here, there)][0]
+                    widest[there] = through if through < width else width
+                elif seen == layer:
+                    width = weights[(here, there)][0]
+                    if through < width:
+                        width = through
+                    if width > widest[there]:
+                        widest[there] = width
+        frontier = nxt
+    return widest
 
 
 def batch_routes(

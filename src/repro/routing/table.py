@@ -11,14 +11,17 @@ come from two sources, in priority order:
 Routing is static — computed once per (plane, src, dst) and cached —
 matching how HT routing registers actually work (no adaptive routing on
 these platforms).  :meth:`RoutingTable.path` builds each pair's routed
-:class:`~repro.routing.paths.Path` once, too.  Only
-:meth:`RoutingTable.set_route` changes an answer; it drops that pair's
-route and path and replaces the table's :attr:`~RoutingTable.revision`
-token, so memos kept elsewhere on routed answers can tell they are stale.
+:class:`~repro.routing.paths.Path` once, too, and
+:meth:`RoutingTable.widest` reads every route's narrowest link from one
+source without building a route.  Only :meth:`RoutingTable.set_route`
+changes an answer; it drops that pair's route and path and its source's
+widths, and replaces the table's :attr:`~RoutingTable.revision` token,
+so memos kept elsewhere on routed answers can tell they are stale.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Iterable, Mapping, Sequence
 
@@ -26,7 +29,7 @@ from repro.errors import RoutingError, TopologyError
 from repro.interconnect.link import DirectedLink
 from repro.interconnect.planes import PLANE_DMA, PLANE_PIO, Plane, validate_plane
 from repro.obs import recorder as _obs
-from repro.routing.batch import batch_routes
+from repro.routing.batch import batch_routes, plane_weights, widest_from_source
 from repro.routing.incremental import (
     RerouteStats,
     incremental_routes,
@@ -160,6 +163,10 @@ class RoutingTable:
         self._cache: dict[tuple[Plane, int, int], tuple[int, ...]] = {}
         #: Routed paths built so far, keyed like ``_cache``.
         self._paths: dict[tuple[Plane, int, int], Path] = {}
+        #: Per-plane link weights and per-(plane, src) widths, for
+        #: :meth:`widest`.
+        self._weights: dict[Plane, dict[tuple[int, int], tuple[float, float]]] = {}
+        self._widest: dict[tuple[Plane, int], dict[int, float]] = {}
         #: A token replaced on every :meth:`set_route` and unique to this
         #: table, so a memo that recorded it also notices a new table.
         self.revision = object()
@@ -299,6 +306,7 @@ class RoutingTable:
         self._overrides[key] = hop_seq
         self._cache.pop(key, None)
         self._paths.pop(key, None)
+        self._widest.pop((plane, hop_seq[0]), None)
         self._plane_routes.pop(plane, None)
         self._usage.pop(plane, None)
         self.revision = object()
@@ -332,6 +340,37 @@ class RoutingTable:
             _obs.count("routing.route.computed")
         else:
             _obs.count("routing.route.cached")
+        return hit
+
+    def widest(self, plane: Plane, src: int) -> dict[int, float] | None:
+        """Narrowest link width on :meth:`route`'s route from ``src`` to each node.
+
+        Route-free: one :func:`~repro.routing.batch.widest_from_source`
+        pass over the cached adjacency, kept per ``(plane, src)`` until
+        :meth:`set_route` installs a route from ``src``; no route is
+        selected, cached or counted.  ``src`` maps to ``inf``, a node
+        ``src`` cannot reach is absent, and a node with no links
+        reaches only itself.  ``None`` when an override on ``plane``
+        starts at ``src``: that pair's route is not the heuristic's, so
+        the caller routes the pair itself.  The returned dict is the
+        memo itself; do not mutate it.
+        """
+        validate_plane(plane)
+        key = (plane, src)
+        hit = self._widest.get(key)
+        if hit is None:
+            if any(o_plane == plane and o_src == src
+                   for o_plane, o_src, _dst in self._overrides):
+                return None
+            adj = self.adjacency
+            if src not in adj:
+                hit = {src: math.inf}
+            else:
+                weights = self._weights.get(plane)
+                if weights is None:
+                    weights = self._weights[plane] = plane_weights(self._links, plane)
+                hit = widest_from_source(adj, weights, src)
+            self._widest[key] = hit
         return hit
 
     def route_links(self, plane: Plane, src: int, dst: int) -> tuple[DirectedLink, ...]:

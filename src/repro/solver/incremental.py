@@ -44,10 +44,11 @@ def maxmin_rates(
     """Weighted max-min rates, same contract as ``maxmin_allocate``.
 
     Rejects, in this order, duplicate flow names, a resource missing
-    from ``capacities``, a used resource whose capacity is not positive
-    and an elastic flow that crosses no resource, each with a
-    :class:`~repro.errors.SimulationError`.  Then one cold
-    :func:`_solve_groups`; ``stats`` (a
+    from ``capacities``, a used resource whose capacity is not positive,
+    an elastic flow that crosses no resource, a used resource whose
+    capacity is NaN and an elastic flow whose every resource is
+    infinite, each with a :class:`~repro.errors.SimulationError`.  Then
+    one cold :func:`_solve_groups`; ``stats`` (a
     :class:`~repro.solver.stats.SolverStats`) counts one ``solves`` per
     call that has at least one flow.
     """
@@ -74,6 +75,22 @@ def maxmin_rates(
         raise SimulationError(
             "unbounded allocation: elastic flow(s) traverse no resources: "
             f"{unbounded}"
+        )
+    for r in used:
+        if capacities[r] != capacities[r]:
+            raise SimulationError(
+                f"resource {r!r} has capacity {capacities[r]!r}, not a number"
+            )
+    unbounded = sorted(
+        f.name
+        for f in flow_list
+        if math.isinf(f.demand_gbps)
+        and all(math.isinf(capacities[r]) for r in f.resources)
+    )
+    if unbounded:
+        raise SimulationError(
+            "unbounded allocation: elastic flow(s) cross only "
+            f"infinite-capacity resources: {unbounded}"
         )
     if not flow_list:
         return {}

@@ -18,6 +18,7 @@ property here instead of two unrelated lookup tables.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -90,16 +91,23 @@ class MachineParams:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.local_latency_s <= 0:
-            raise TopologyError("local_latency_s must be positive")
-        if self.pio_core_gbps_ns <= 0:
-            raise TopologyError("pio_core_gbps_ns must be positive")
+        _check_param(self, "local_latency_s")
+        _check_param(self, "pio_core_gbps_ns")
         if not 0 < self.oslib_penalty <= 1:
             raise TopologyError("oslib_penalty must be in (0, 1]")
-        if self.dma_per_thread_gbps <= 0:
-            raise TopologyError("dma_per_thread_gbps must be positive")
-        if self.pio_request_frac < 0 or self.pio_response_frac <= 0:
-            raise TopologyError("PIO traffic fractions must be non-negative/positive")
+        _check_param(self, "dma_per_thread_gbps")
+        _check_param(self, "pio_request_frac", zero_ok=True)
+        _check_param(self, "pio_response_frac")
+        _check_param(self, "router_latency_s", zero_ok=True)
+
+
+def _check_param(params: MachineParams, name: str, zero_ok: bool = False) -> None:
+    """Reject a non-finite ``params.<name>``, or one below 0 (at most 0
+    unless ``zero_ok``), naming the field and the value."""
+    value = getattr(params, name)
+    if not (0 <= value if zero_ok else 0 < value) or not value < math.inf:
+        sign = "non-negative" if zero_ok else "positive"
+        raise TopologyError(f"{name} must be {sign} and finite, got {value!r}")
 
 
 class Machine:

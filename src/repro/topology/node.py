@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import TopologyError
@@ -71,8 +72,13 @@ class NumaNode:
                 )
         if self.memory_bytes <= 0:
             raise TopologyError(f"node {self.node_id}: memory_bytes must be positive")
-        if self.dram_gbps <= 0 or self.pio_ctrl_gbps <= 0:
-            raise TopologyError(f"node {self.node_id}: controller bandwidth must be positive")
+        for name in ("dram_gbps", "pio_ctrl_gbps"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise TopologyError(
+                    f"node {self.node_id}: {name} must be positive and finite, "
+                    f"got {value!r}"
+                )
         if not 0 <= self.os_resident_bytes <= self.memory_bytes:
             raise TopologyError(
                 f"node {self.node_id}: os_resident_bytes outside [0, memory_bytes]"

@@ -1,16 +1,19 @@
 """Closed-form bulk copies against max-min over their flow lists.
 
 ``bulk_copy_gbps_many`` solves each distinct ``(src, dst)`` copy from
-the least capacity on its route.  Its reference is max-min over the
-copy's per-thread flow list (``_bulk_copy_flows``) through
+the least capacity on its route, read route-free: both controllers'
+capacities and the narrowest link of the DMA-plane route
+(``RoutingTable.widest``).  Its reference is max-min over the copy's
+per-thread flow list (``_bulk_copy_flows``) through
 ``SolverSession.rates``, totalled as ``sum(rates.values())``: the
 values must agree by ``float.hex``, with one solve per distinct pair on
 both sides, also when the session serves a capacity map that differs
-from the machine's.  Every Algorithm 1 model is built from these
-totals.  Where the route bottlenecks cannot decide (a capacity that is
-zero, infinite, NaN or missing, a route that crosses a link twice, a
-demand that is not positive) the call solves the reference itself, so
-it gives the reference's values or raises its typed errors.
+from the machine's, and on ``scaled_host`` machines of 16 to 64 nodes.
+Every Algorithm 1 model is built from these totals.  Where the closed
+form cannot decide (a capacity that is zero, infinite, NaN or missing,
+a link capacity that is not the link's width, a DMA-plane override, a
+demand that is not positive) the call routes and solves the reference
+itself, so it gives the reference's values or raises its typed errors.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.interconnect.link import DirectedLink
 from repro.interconnect.planes import PLANE_DMA
 from repro.solver.capacity import build_capacities
 from repro.solver.session import SolverSession
+from repro.topology.builders import scaled_host
 from repro.topology.machine import Machine, MachineParams
 from repro.topology.node import Core, NumaNode, Package
 
@@ -157,12 +161,59 @@ def test_closed_form_equals_maxmin_bit_for_bit(case):
 @given(copies(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_route_bottlenecks_read_the_session_map(case, data):
+    """Served controller capacities keep the closed form; served link
+    capacities other than the links' widths send it to the reference."""
     machine, pairs, threads = case
     scale = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+    links_too = data.draw(st.booleans())
     capacities = {
-        name: cap * data.draw(scale) for name, cap in build_capacities(machine).items()
+        name: cap * data.draw(scale)
+        if links_too or not name.startswith("link-") else cap
+        for name, cap in build_capacities(machine).items()
     }
     _assert_maxmin_oracle(machine, pairs, threads, capacities)
+
+
+@given(st.integers(min_value=8, max_value=32), st.integers(min_value=0, max_value=99),
+       st.data())
+@settings(max_examples=12, deadline=None)
+def test_scaled_hosts_equal_maxmin_bit_for_bit(packages, seed, data):
+    """Multi-hop hosts of 16 to 64 nodes, on the machine's own map: the
+    closed form decides every pair and leaves no route behind."""
+    machine = scaled_host(packages, seed=seed)
+    nodes = st.sampled_from(machine.node_ids)
+    pairs = data.draw(st.lists(st.tuples(nodes, nodes), min_size=1, max_size=24))
+    threads = data.draw(st.integers(min_value=1, max_value=16))
+    session = SolverSession(machine)
+    got = bulk_copy_gbps_many(machine, pairs, threads, session=session)
+    assert machine.routing.populated_planes == ()
+    assert session.stats.solves == len(set(pairs))
+    reference = SolverSession(machine)
+    want = _maxmin_reference(machine, pairs, threads, reference)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert session.stats.capacity_hits == reference.stats.capacity_hits
+
+
+@given(machines(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_dma_override_takes_the_reference(machine, data):
+    """A two-hop DMA-plane override: its source's copies follow the
+    override's links, as max-min over the routed flow list does."""
+    mids = [m for m in machine.node_ids
+            if sum(1 for a, _b in machine.links if a == m) >= 2]
+    if not mids:
+        return
+    mid = data.draw(st.sampled_from(mids))
+    ends = sorted(b for a, b in machine.links if a == mid)
+    src = data.draw(st.sampled_from(ends))
+    dst = data.draw(st.sampled_from([b for b in ends if b != src]))
+    machine.routing.set_route(PLANE_DMA, (src, mid, dst))
+    assert machine.routing.widest(PLANE_DMA, src) is None
+    nodes = st.sampled_from(machine.node_ids)
+    pairs = data.draw(st.lists(st.tuples(nodes, nodes), max_size=8))
+    pairs.insert(data.draw(st.integers(0, len(pairs))), (src, dst))
+    threads = data.draw(st.integers(min_value=1, max_value=16))
+    _assert_maxmin_oracle(machine, pairs, threads, build_capacities(machine))
 
 
 @given(machines(), st.data())

@@ -6,7 +6,9 @@ these properties sweep randomized connected topologies with asymmetric
 per-direction link attributes drawn from small discrete sets (to force
 plenty of score ties) and compare every pair on both planes.  The
 routed ``Path`` each pair builds once must equal one built fresh from
-those routes, after an override and on a derived table too.
+those routes, after an override and on a derived table too.  The
+route-free widths (``widest_from_source``) must equal the narrowest
+link of each selected route by ``float.hex``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,14 @@ from repro.errors import RoutingError
 from repro.faults import FaultedMachine, LinkFail
 from repro.interconnect.link import DirectedLink
 from repro.interconnect.planes import ALL_PLANES, PLANE_DMA
-from repro.routing.batch import batch_routes
+from repro.routing.batch import (
+    batch_routes,
+    plane_weights,
+    routes_from_source,
+    widest_from_source,
+)
 from repro.routing.paths import Path
-from repro.routing.table import RoutingTable, select_route
+from repro.routing.table import RoutingTable, _adjacency, select_route
 from repro.topology.builders import reference_host, scaled_host
 
 NS = 1e-9
@@ -80,6 +87,30 @@ def test_batch_routes_equal_select_route_everywhere(links):
         for src in nodes:
             for dst in nodes:
                 assert routes[(src, dst)] == select_route(links, plane, src, dst)
+
+
+@given(link_maps())
+@settings(max_examples=80, deadline=None)
+def test_widest_equals_the_selected_routes_narrowest_link(links):
+    """Every source, every reachable node, both planes' weights: the
+    route-free width is the narrowest link of the selected route, bit
+    for bit, and ``RoutingTable.widest`` serves the same values."""
+    adj = _adjacency(links)
+    table = RoutingTable(links)
+    for plane in ALL_PLANES:
+        weights = plane_weights(links, plane)
+        for src in sorted(adj):
+            routes = routes_from_source(adj, weights, src)
+            widths = widest_from_source(adj, weights, src)
+            assert set(widths) == set(routes)
+            for node, hops in routes.items():
+                narrowest = min(
+                    (weights[ends][0] for ends in zip(hops, hops[1:])),
+                    default=float("inf"),
+                )
+                assert widths[node].hex() == narrowest.hex()
+            assert table.widest(plane, src) == widths
+    assert table.populated_planes == ()
 
 
 @given(link_maps())
@@ -202,6 +233,11 @@ class TestPartitionedFabric:
         machine = self._partitioned()
         with pytest.raises(RoutingError, match=r"no route from node \d+ to node \d+"):
             machine.routing.populate(PLANE_DMA, nodes=machine.node_ids)
+
+    def test_widest_omits_unreachable_nodes(self):
+        machine = self._partitioned()
+        assert set(machine.routing.widest(PLANE_DMA, 0)) == {0, 1}
+        assert set(machine.routing.widest(PLANE_DMA, 5)) == set(range(2, 8))
 
     def test_reachable_pairs_still_route_lazily(self):
         machine = self._partitioned()

@@ -216,6 +216,34 @@ class TestSweepFastPaths:
                          "streams": 1}
 
 
+    @pytest.mark.parametrize("mode", ["write", "read"])
+    @pytest.mark.parametrize("build", [
+        reference_host, lambda: scaled_host(8, seed=3),
+    ], ids=["reference", "scaled8"])
+    def test_sweep_builds_no_route_table(self, build, mode, monkeypatch):
+        """Copy bottlenecks are read route-free: a fresh machine's sweep
+        leaves its routing table unpopulated and asks ``route()`` for
+        nothing, with one solve per distinct pair and one capacity map
+        read per ``bulk_copy_gbps_many`` call."""
+        from repro.routing.table import RoutingTable
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep routed a pair")
+
+        monkeypatch.setattr(RoutingTable, "route", refuse)
+        monkeypatch.setattr(RoutingTable, "populate", refuse)
+        machine = build()
+        builder = IOModelBuilder(machine, registry=RngRegistry(5), runs=4)
+        stats = builder.session.stats
+        before = (stats.solves, stats.capacity_builds + stats.capacity_hits)
+        models = builder.build_many(machine.node_ids, mode)
+        assert len(models) == machine.n_nodes
+        assert machine.routing.populated_planes == ()
+        assert (stats.solves - before[0],
+                stats.capacity_builds + stats.capacity_hits - before[1]) == (
+            machine.n_nodes ** 2, 1)
+
+
 class TestAllocationFailure:
     @staticmethod
     def _with_free_bytes(machine, node, free_bytes):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.classify import classify_nodes
+from repro.core.classify import PerfClass, classify_nodes
 from repro.core.model import IOPerformanceModel, ModelTable
 from repro.errors import ModelError
 
@@ -94,3 +94,43 @@ class TestModelTable:
         assert "Proposed memcpy" in text
         assert "RDMA_WRITE" in text
         assert "device write" in text
+
+
+class TestRenderOn32Nodes:
+    """A class cell wider than its column keeps a space before it."""
+
+    @pytest.fixture()
+    def blade_model(self):
+        values = {n: 40.0 if n < 4 else 20.0 for n in range(32)}
+        classes = (
+            PerfClass(rank=1, node_ids=(0, 1, 2, 3),
+                      values={n: values[n] for n in range(4)}),
+            PerfClass(rank=2, node_ids=tuple(range(4, 32)),
+                      values={n: values[n] for n in range(4, 32)}),
+        )
+        return IOPerformanceModel(
+            machine_name="hp-blade-32n", target_node=0, mode="write",
+            values=values, classes=classes, threads=4, runs=10,
+        )
+
+    def test_model_cells_stay_apart(self, blade_model):
+        node_line = blade_model.render().splitlines()[2]
+        wide = ",".join(map(str, range(4, 32)))
+        assert node_line == "Node ID     " + "0,1,2,3".rjust(16) + " " + wide
+
+    def test_table_cells_stay_apart(self, blade_model):
+        table = ModelTable.from_measurements(
+            blade_model, {"RDMA_WRITE": {n: 10.0 for n in range(32)}}
+        )
+        node_line = table.render().splitlines()[2]
+        wide = ",".join(map(str, range(4, 32)))
+        assert node_line.split() == ["Node", "0,1,2,3", wide]
+
+    def test_cells_that_fit_render_as_before(self, write_model):
+        lines = write_model.render().splitlines()
+        assert lines[2] == "Node ID     " + "".join(
+            ",".join(map(str, c.node_ids)).rjust(16) for c in write_model.classes
+        )
+        assert lines[4] == "Avg (Gbps)  " + "".join(
+            f"{c.avg:.1f}".rjust(16) for c in write_model.classes
+        )

@@ -159,3 +159,40 @@ class TestPopulate:
         table = RoutingTable(diamond)
         assert table.adjacency is table.adjacency
         assert table.adjacency[0] == [1, 2]
+
+
+class TestWidest:
+    def test_widths_without_routes(self, diamond):
+        table = RoutingTable(diamond)
+        widths = table.widest(PLANE_DMA, 0)
+        assert widths == {0: float("inf"), 1: 51.2, 2: 25.6, 3: 51.2}
+        assert table.populated_planes == () and table._cache == {}
+        assert table.widest(PLANE_DMA, 0) is widths
+
+    def test_pio_plane_reads_pio_widths(self, diamond):
+        table = RoutingTable(diamond)
+        # 60 % of raw on every link: both branches tie at 30.72.
+        assert table.widest(PLANE_PIO, 3) == {
+            3: float("inf"), 1: 30.72, 2: 30.72, 0: 30.72,
+        }
+
+    def test_unreachable_nodes_are_absent(self):
+        links = _links((0, 1, {}))
+        links.update(_links((5, 6, {})))
+        table = RoutingTable(links)
+        assert set(table.widest(PLANE_DMA, 0)) == {0, 1}
+        assert table.widest(PLANE_DMA, 9) == {9: float("inf")}
+
+    def test_override_from_source_declines(self, diamond):
+        table = RoutingTable(diamond)
+        before = table.widest(PLANE_DMA, 0)
+        assert before[3] == 51.2
+        table.set_route(PLANE_DMA, (0, 2, 3))
+        assert table.widest(PLANE_DMA, 0) is None
+        # Other sources and the other plane keep the heuristic's widths.
+        assert table.widest(PLANE_DMA, 1) == {1: float("inf"), 0: 51.2, 3: 51.2, 2: 25.6}
+        assert table.widest(PLANE_PIO, 0) is not None
+
+    def test_plane_validated(self, diamond):
+        with pytest.raises(Exception, match="plane"):
+            RoutingTable(diamond).widest("bogus", 0)

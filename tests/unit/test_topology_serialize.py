@@ -1,6 +1,7 @@
 """Machine (de)serialisation."""
 
 import json
+import math
 
 import pytest
 
@@ -165,6 +166,28 @@ class TestErrorsNameTheField:
             _corrupt(data, "links", 0, "dma_credit", 7.5), "links[0]",
         )
         assert "Traceback" not in message
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, index, field", [
+        ("nodes", 3, "dram_gbps"),
+        ("nodes", 3, "pio_ctrl_gbps"),
+        ("links", 2, "gts"),
+        ("links", 2, "pio_latency_s"),
+        ("links", 2, "pio_cap_gbps"),
+        ("params", None, "local_latency_s"),
+        ("params", None, "pio_core_gbps_ns"),
+        ("params", None, "dma_per_thread_gbps"),
+        ("params", None, "router_latency_s"),
+        ("params", None, "pio_request_frac"),
+        ("params", None, "pio_response_frac"),
+    ])
+    def test_non_finite_values_named(self, bare_host, section, index, field, value):
+        data = machine_to_dict(bare_host)
+        entry = data[section] if index is None else data[section][index]
+        entry[field] = value
+        where = section if index is None else f"{section}[{index}]"
+        self.check(data, f"{where} rejected", field, repr(value))
 
     def test_fuzzed_loads_never_leak_bare_errors(self, bare_host):
         pristine = machine_to_dict(bare_host)

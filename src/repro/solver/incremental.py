@@ -77,7 +77,7 @@ def maxmin_rates(
             f"{unbounded}"
         )
     for r in used:
-        if capacities[r] != capacities[r]:
+        if math.isnan(capacities[r]):
             raise SimulationError(
                 f"resource {r!r} has capacity {capacities[r]!r}, not a number"
             )

@@ -105,7 +105,8 @@ def _check_param(params: MachineParams, name: str, zero_ok: bool = False) -> Non
     """Reject a non-finite ``params.<name>``, or one below 0 (at most 0
     unless ``zero_ok``), naming the field and the value."""
     value = getattr(params, name)
-    if not (0 <= value if zero_ok else 0 < value) or not value < math.inf:
+    above_floor = 0 <= value if zero_ok else 0 < value
+    if not (above_floor and value < math.inf):
         sign = "non-negative" if zero_ok else "positive"
         raise TopologyError(f"{name} must be {sign} and finite, got {value!r}")
 

@@ -194,5 +194,5 @@ class TestWidest:
         assert table.widest(PLANE_PIO, 0) is not None
 
     def test_plane_validated(self, diamond):
-        with pytest.raises(Exception, match="plane"):
+        with pytest.raises(RoutingError, match="unknown traffic plane"):
             RoutingTable(diamond).widest("bogus", 0)
